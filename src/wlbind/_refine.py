@@ -1,22 +1,25 @@
-"""Vectorized signature-refinement rounds used by the stabilization loop.
+"""Vectorized hash rounds and the one exact check behind stabilization.
 
-One round groups the n^2 matrix entries by the exact multiset
-{(m[i,k], m[k,j]) : k} of ordered color pairs. Entries are first grouped
-by a deterministic bilinear 64-bit content hash of the multiset; every
-group with more than one member is then verified, and on a true collision
-split, by exact comparison of the sorted signature vectors, so class
-membership never depends on hash quality. Small orders verify against a
-fully materialized signature matrix; large orders compare members to their
-group representative in row-pair batches, holding only one row block at a
-time. Classes are numbered by hash value with byte-rank tie-breaks, a
-total order derived from matrix content alone, which is what makes the
-stabilization permutation-equivariant and reproducible across runs.
+A hash round keys every entry (i, j) of the color matrix on the pair
+(old color, h), where h is a deterministic bilinear 64-bit content hash of
+the multiset {(m[i,k], m[k,j]) : k} of ordered color pairs, and numbers the
+classes in ascending key order. Keying on the old color makes every round
+refine the one before it, so a hash collision can only merge classes that
+the exact multisets would separate: every partition is at least as coarse
+as the exact one.
+
+The exact check runs when a round leaves the class count unchanged. It
+compares every class member's sorted signature vector with that of the
+member before it in its class, in entry blocks of bounded size, and splits
+a class that fails by exact signature order. All numbering derives from
+matrix content alone, which is what makes stabilization
+permutation-equivariant and reproducible across runs.
 """
 from __future__ import annotations
 
 import numpy as np
 
-DENSE_LIMIT = 160  # orders up to this verify against the full signature matrix
+_BLOCK = 1 << 16  # signature elements per verify block: bounds the check's memory
 
 _SM1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM2 = np.uint64(0x94D049BB133111EB)
@@ -46,141 +49,76 @@ def _pair_hash(m: np.ndarray) -> np.ndarray:
     return left @ right
 
 
+def _rank(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense labels numbering the distinct (major, minor) pairs in ascending order."""
+    order = np.lexsort((minor, major))
+    a, b = major[order], minor[order]
+    change = np.empty(a.size, dtype=bool)
+    change[0] = True
+    change[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    ranks = np.cumsum(change) - 1
+    labels = np.empty(a.size, dtype=np.int64)
+    labels[order] = ranks
+    return labels, int(ranks[-1]) + 1
+
+
 def refine_once(m: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
-    """One diamond-and-substitution round on a dense color matrix.
+    """One hash round of diamond-and-substitution on a dense color matrix.
 
     m: (n, n) int64 with colors dense in [0, dim). Returns the relabeled
-    matrix with classes dense in [0, K) and K itself. Two entries land in
-    the same class exactly when their pair multisets are identical.
+    matrix with classes dense in [0, K) and K >= dim itself. Entries share a
+    class when they share the old color and the pair-multiset hash.
     """
-    n = m.shape[0]
-    h = _pair_hash(m)
-    _, inverse, counts = np.unique(h.ravel(), return_inverse=True, return_counts=True)
-    inverse = inverse.reshape(-1)
-    n_groups = int(counts.shape[0])
-
-    if n_groups == n * n:  # all singletons: nothing to verify
-        return inverse.reshape(n, n).astype(np.int64), n_groups
-    if n <= DENSE_LIMIT:
-        sub, split = _verify_dense(m, dim, inverse, counts)
-    else:
-        sub, split = _verify_streaming(m, dim, inverse, counts)
-    if not split:
-        return inverse.reshape(n, n).astype(np.int64), n_groups
-
-    # a hash collision merged distinct signatures: renumber over (group, sub)
-    order = np.lexsort((sub, inverse))
-    g_s, s_s = inverse[order], sub[order]
-    change = np.empty(n * n, dtype=bool)
-    change[0] = True
-    change[1:] = (g_s[1:] != g_s[:-1]) | (s_s[1:] != s_s[:-1])
-    ranks = np.cumsum(change) - 1
-    labels = np.empty(n * n, dtype=np.int64)
-    labels[order] = ranks
-    return labels.reshape(n, n), int(ranks[-1]) + 1
+    labels, count = _rank(m.ravel(), _pair_hash(m).ravel())
+    return labels.reshape(m.shape), count
 
 
-def _sorted_signatures(m: np.ndarray, dim: int) -> np.ndarray:
-    """(n*n, n) matrix whose row for entry (i, j) is its sorted pair-code vector."""
-    n = m.shape[0]
-    # pair codes stay below DENSE_LIMIT^4 < 2^31, so int32 is safe here
-    m32 = m.astype(np.int32)
-    codes = m32[:, :, None] * np.int32(dim) + m32[None, :, :]  # [i, k, j]
-    codes.sort(axis=1)
-    return codes.transpose(0, 2, 1).reshape(n * n, n)
-
-
-def _verify_dense(
-    m: np.ndarray, dim: int, inverse: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    n = m.shape[0]
-    total = n * n
-    sigs = _sorted_signatures(m, dim)
-    first = np.full(counts.shape[0], total, dtype=np.int64)
-    np.minimum.at(first, inverse, np.arange(total))
-    mismatch = np.nonzero((sigs != sigs[first[inverse]]).any(axis=1))[0]
-    sub = np.zeros(total, dtype=np.int64)
-    if mismatch.size == 0:
-        return sub, False
-    for grp in np.unique(inverse[mismatch]).tolist():
-        members = np.nonzero(inverse == grp)[0]
-        keys = {}
-        for idx in members.tolist():
-            keys.setdefault(sigs[idx].astype(">i4").tobytes(), []).append(idx)
-        for rank, key in enumerate(sorted(keys)):
-            for idx in keys[key]:
-                sub[idx] = rank
-    return sub, True
+def _signatures(m: np.ndarray, dim: int, entries: np.ndarray) -> np.ndarray:
+    """One row per flat entry index: its sorted vector of pair codes."""
+    i, j = np.divmod(entries, m.shape[0])
+    sigs = m[i] * np.int64(dim) + m[:, j].T
+    sigs.sort(axis=1)
+    return sigs
 
 
 def _verify_streaming(
-    m: np.ndarray, dim: int, inverse: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """Compare every group member against its group's first entry, batching
-    the signature comparisons by (representative row, member row) so the
-    work is a few column sorts per row pair instead of per-entry hashing.
-    Nothing is retained between batches, so memory stays at one row block.
+    m: np.ndarray, dim: int, labels: np.ndarray, count: int
+) -> tuple[np.ndarray, int]:
+    """Exact check of a partition of m's entries by pair signature.
+
+    m: (n, n) with colors dense in [0, dim); labels: (n, n) classes dense in
+    [0, count). Members of each class are compared with the class member
+    before them, so a class holds one signature exactly when every
+    comparison is equal. Returns (labels, count) unchanged when every class
+    passes, else the partition refined by exact signature: a failing class
+    is split into sub-classes numbered by signature order, with one class's
+    signatures materialized at a time.
     """
-    n = m.shape[0]
-    total = n * n
-    sub = np.zeros(total, dtype=np.int64)
-    if not (counts > 1).any():
-        return sub, False
+    flat = labels.ravel()
+    order = np.argsort(flat, kind="stable")  # entries grouped by class
+    sizes = np.bincount(flat, minlength=count)
+    shared = order[np.repeat(sizes > 1, sizes)]  # entries of classes with two or more
 
-    first = np.full(counts.shape[0], total, dtype=np.int64)
-    np.minimum.at(first, inverse, np.arange(total))
-    rep_of = first[inverse]
-    entries = np.arange(total)
-    members = entries[(counts[inverse] > 1) & (entries != rep_of)]
-    reps = rep_of[members]
+    bad = np.zeros(count, dtype=bool)
+    step = max(1, _BLOCK // m.shape[0])
+    for start in range(0, shared.size - 1, step):
+        block = shared[start:start + step + 1]  # shares its last entry with the next block
+        owner = flat[block]
+        sigs = _signatures(m, dim, block)
+        neq = (owner[1:] == owner[:-1]) & (sigs[1:] != sigs[:-1]).any(axis=1)
+        bad[owner[1:][neq]] = True
+    if not bad.any():
+        return labels, count
 
-    ra, ja = reps // n, reps % n
-    rb, jb = members // n, members % n
-    dim64 = np.int64(dim)
-    order = np.lexsort((rb, ra))
-    ra_s, ja_s, rb_s, jb_s = ra[order], ja[order], rb[order], jb[order]
-    mem_s = members[order]
-
-    bad: list[int] = []
-    run_start = 0
-    while run_start < mem_s.size:
-        r1 = ra_s[run_start]
-        run_stop = run_start
-        while run_stop < mem_s.size and ra_s[run_stop] == r1:
-            run_stop += 1
-        # sort each representative column of this row once, shared by batches
-        u_cols = np.unique(ja_s[run_start:run_stop])
-        s1 = m[r1, :, None] * dim64 + m[:, u_cols]
-        s1.sort(axis=0)
-        pos = np.searchsorted(u_cols, ja_s[run_start:run_stop])
-        start = run_start
-        while start < run_stop:
-            r2 = rb_s[start]
-            stop = start
-            while stop < run_stop and rb_s[stop] == r2:
-                stop += 1
-            s2 = m[r2, :, None] * dim64 + m[:, jb_s[start:stop]]
-            s2.sort(axis=0)
-            neq = (s1[:, pos[start - run_start:stop - run_start]] != s2).any(axis=0)
-            if neq.any():
-                bad.extend(mem_s[start:stop][neq].tolist())
-            start = stop
-        run_start = run_stop
-
-    if not bad:
-        return sub, False
-    # true hash collisions: split every affected group by exact byte order
-    for grp in np.unique(inverse[np.array(bad)]).tolist():
-        keys: dict[bytes, list[int]] = {}
-        for e in np.nonzero(inverse == grp)[0].tolist():
-            i, j = divmod(e, n)
-            col = m[i, :] * dim64 + m[:, j]
-            col.sort()
-            keys.setdefault(col.astype(">i8").tobytes(), []).append(e)
-        for rank, key in enumerate(sorted(keys)):
-            for e in keys[key]:
-                sub[e] = rank
-    return sub, True
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    sub = np.zeros(flat.size, dtype=np.int64)
+    for cls in np.flatnonzero(bad).tolist():
+        members = order[bounds[cls]:bounds[cls + 1]]
+        sigs = _signatures(m, dim, members).astype(">i8")  # byte order = numeric order
+        keys = sigs.view(np.dtype((np.void, sigs.shape[1] * 8))).ravel()
+        _, sub[members] = np.unique(keys, return_inverse=True)
+    out, total = _rank(flat, sub)
+    return out.reshape(labels.shape), total
 
 
 def compact(m: np.ndarray) -> tuple[np.ndarray, int]:

@@ -30,7 +30,10 @@ def parse_graph6(data: bytes | str) -> SimpleGraph:
     and the exact padded bit length.
     """
     if isinstance(data, str):
-        data = data.encode("ascii", errors="replace")
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise Graph6Error("non-ASCII character in graph6 text", exc.start) from None
     raw = data.strip()
     if raw.startswith(_HEADER):
         raw = raw[len(_HEADER):]

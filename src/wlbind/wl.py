@@ -25,7 +25,7 @@ from .graphs import LabeledGraph, Partition
 Signature = tuple[tuple[tuple[int, int], int], ...]
 
 # identifies how fresh colors are ordered, for report provenance
-CANONICALIZATION = "bilinear-hash-order-v1"
+CANONICALIZATION = "bilinear-hash-order-v2"
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,10 @@ def stabilize(g: LabeledGraph) -> StableGraph:
     """Run the refinement to its fixpoint and certify the result.
 
     Stops at the first round whose dimension matches the previous one (the
-    confirming round is executed and counted). Internal colors are assigned
+    confirming round is executed and counted). Rounds group entries by
+    hash; a round that adds no class is checked exactly, and a collision
+    it finds is split and counted as that round's refinement, so the
+    fixpoint is the exact one. Internal colors are assigned
     canonically from matrix content, so the output is bitwise invariant
     under vertex relabeling: stabilizing a permuted graph yields the
     permuted stabilization.
@@ -139,6 +142,8 @@ def stabilize(g: LabeledGraph) -> StableGraph:
     if n > 1:
         while True:
             labels, count = _refine.refine_once(m, dim)
+            if count == dim:  # hash fixpoint: confirm it exactly
+                labels, count = _refine._verify_streaming(m, dim, labels, count)
             rounds += 1
             dims.append(count)
             if count == dim:
@@ -164,10 +169,12 @@ def _cells_from_diagonal(g: LabeledGraph) -> Partition:
 
 
 def is_stable(g: LabeledGraph) -> bool:
-    """True when one refinement round leaves the entry partition unchanged."""
-    m = _to_array(g)
-    m, dim = _refine.compact(m)
-    labels, count = _refine.refine_once(m, dim)
+    """True when one exact refinement round leaves the entry partition unchanged."""
+    m, dim = _refine.compact(_to_array(g))
+    # the exact round: entries grouped by hash alone, then split by signature
+    _, hashed = np.unique(_refine._pair_hash(m), return_inverse=True)
+    groups = int(hashed.max()) + 1
+    labels, count = _refine._verify_streaming(m, dim, hashed.reshape(m.shape), groups)
     if count != dim:
         return False
     pairs = m.ravel() * np.int64(count) + labels.ravel()

@@ -53,6 +53,9 @@ def test_graph6_error_reporting():
         parse_graph6(b"A~")  # non-zero padding bits
     with pytest.raises(Graph6Error):
         parse_graph6(b"?")  # order 0
+    with pytest.raises(Graph6Error) as e:
+        parse_graph6("B\u00e9")  # non-ASCII text, not a '?' byte
+    assert e.value.offset == 1
 
 
 @given(st.integers(2, 12), st.data())

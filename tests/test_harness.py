@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from wlbind import encode_graph6, is_connected, parse_graph6
+from wlbind import cli, encode_graph6, is_connected, parse_graph6
 from wlbind.cli import main as cli_main
 from wlbind.harness import (
     CorpusSpec,
@@ -281,7 +281,7 @@ def test_cli_stabilize_and_bind(tmp_path, capsys):
     assert cli_main(["stabilize", str(adj), "--format", "adj"]) == 0
 
 
-def test_cli_iso_exit_codes(tmp_path, capsys):
+def test_cli_iso_exit_codes(tmp_path, capsys, monkeypatch):
     a = write_g6(tmp_path, "a.g6", k(3))
     b = write_g6(tmp_path, "b.g6", path(3))
     assert cli_main(["iso", a, a, "--oracle"]) == 0
@@ -289,11 +289,21 @@ def test_cli_iso_exit_codes(tmp_path, capsys):
     assert cli_main(["iso", a, b]) == 1
     assert cli_main(["iso", a, str(tmp_path / "missing.g6")]) == 2
 
+    def out_of_memory(g, h):
+        raise MemoryError()
+
+    # an unexpected error must not exit 1, which reads as "non-isomorphic"
+    monkeypatch.setattr(cli, "decide_iso", out_of_memory)
+    capsys.readouterr()
+    assert cli_main(["iso", a, a]) == 2
+    assert "error: MemoryError" in capsys.readouterr().err
+
 
 def test_cli_orbits(tmp_path, capsys):
     f = write_g6(tmp_path, "p3.g6", path(3))
-    assert cli_main(["orbits", f, "--wl"]) == 0
-    assert "1,3" in capsys.readouterr().out
+    assert cli_main(["orbits", f]) == 0
+    out = capsys.readouterr().out
+    assert "wl cells" in out and "1,3" in out
     assert cli_main(["orbits", f, "--oracle"]) == 0
     assert "oracle orbits" in capsys.readouterr().out
 

@@ -1,6 +1,10 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wlbind import _refine
 from wlbind import (
     LabeledGraph,
     Permutation,
@@ -11,6 +15,7 @@ from wlbind import (
     cell_partition,
     certify_stable,
     diamond,
+    disjoint_union,
     embeds,
     equivalent,
     evs,
@@ -22,6 +27,8 @@ from wlbind import (
     similar,
     stabilize,
 )
+
+from wlbind.harness import random_connected_graph
 
 from helpers import (
     assert_stable_laws,
@@ -218,6 +225,35 @@ def test_stabilize_equivariant_bitwise(data):
     left = stabilize(apply_permutation(g, p)).graph
     right = apply_permutation(stabilize(g).graph, p)
     assert left == right
+
+
+# --- hash collisions ----------------------------------------------------
+
+
+def _collision_cases():
+    rng = random.Random(20230521)
+    return {
+        "gnp10": random_connected_graph(10, rng),
+        "gnp40": random_connected_graph(40, rng),
+        "binding171": bind(
+            disjoint_union(random_connected_graph(9, rng), random_connected_graph(9, rng))
+        ).graph,
+    }
+
+
+@pytest.mark.parametrize("case", ["gnp10", "gnp40", "binding171"])
+def test_stabilize_exact_under_forced_collisions(case, monkeypatch):
+    """With every hash equal, only the exact check separates classes; the
+    fixpoint must still match the hashed run cell for cell."""
+    g = _collision_cases()[case]
+    hashed = stabilize(g)
+    monkeypatch.setattr(_refine, "_pair_hash", lambda m: np.zeros(m.shape, dtype=np.uint64))
+    collided = stabilize(g)
+    assert collided.cells == hashed.cells
+    assert collided.trace.dims == hashed.trace.dims
+    assert collided.trace.rounds == hashed.trace.rounds
+    assert is_stable(collided.graph)
+    assert len(hashed.trace.dims) > 2  # a fixpoint needing refinement, not the first round
 
 
 # --- partitions on stable graphs ----------------------------------------
