@@ -1,12 +1,17 @@
 """Vectorized hash rounds and the one exact check behind stabilization.
 
 A hash round keys every entry (i, j) of the color matrix on the pair
-(old color, h), where h is a deterministic bilinear 64-bit content hash of
-the multiset {(m[i,k], m[k,j]) : k} of ordered color pairs, and numbers the
-classes in ascending key order. Keying on the old color makes every round
+(old color, h), where h is a deterministic 64-bit content hash of the
+multiset {(m[i,k], m[k,j]) : k} of ordered color pairs, and numbers the
+classes by one sort on a 64-bit key of the pair (by a two-key sort if two
+old colors ever share a key). Keying on the old color makes every round
 refine the one before it, so a hash collision can only merge classes that
 the exact multisets would separate: every partition is at least as coarse
 as the exact one.
+
+The hash is two float64 matrix products of integer color weights below
+2^20, so it runs on BLAS and every sum in it is an exact integer up to
+order MAX_ORDER, whatever the summation order.
 
 The exact check runs when a round leaves the class count unchanged. It
 compares every class member's sorted signature vector with that of the
@@ -19,12 +24,21 @@ from __future__ import annotations
 
 import numpy as np
 
+MAX_ORDER = 8192  # N * (2^20 - 1)^2 < 2^53: each hash sum is an exact float64 integer
+
 _BLOCK = 1 << 16  # signature elements per verify block: bounds the check's memory
 
 _SM1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM2 = np.uint64(0x94D049BB133111EB)
-_SEED_LEFT = np.uint64(0x9E3779B97F4A7C15)
-_SEED_RIGHT = np.uint64(0xC2B2AE3D27D4EB4F)
+# one seed per weight row: (left, right) of projection 0, then of projection 1
+_SEEDS = np.array(
+    [0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xD6E8FEB86659FD93],
+    dtype=np.uint64,
+)
+_WEIGHT_SHIFT = np.uint64(64 - 20)  # a weight is the top 20 bits of a mixed color
+_PROJECT = np.uint64(0xFF51AFD7ED558CCD)  # odd: hash = h0 * _PROJECT + h1 mod 2^64
+_KEY = np.uint64(0xC4CEB9FE1A85EC53)  # odd: class key = hash + old color * _KEY mod 2^64
+_TABLE_COLORS = 1 << 12  # colors whose weights are drawn once, at import (128 KiB)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -37,29 +51,90 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _draw_weights(dim: int, row: int) -> np.ndarray:
+    """Weight of each color in [0, dim) for seed row: the top 20 bits of
+    splitmix64(color + seed), an integer and exact in float64."""
+    z = _mix64(np.arange(dim, dtype=np.uint64) + _SEEDS[row])
+    return np.right_shift(z, _WEIGHT_SHIFT, out=z).astype(np.float64)
+
+
+# weights of the first colors, drawn once: the many small matrices of a
+# sweep then skip the mixing
+_WEIGHTS = np.stack([_draw_weights(_TABLE_COLORS, row) for row in range(len(_SEEDS))])
+
+
+def _weights(dim: int, row: int) -> np.ndarray:
+    """Weights for seed row, indexable by every color in [0, dim)."""
+    return _WEIGHTS[row] if dim <= _TABLE_COLORS else _draw_weights(dim, row)
+
+
 def _pair_hash(m: np.ndarray) -> np.ndarray:
     """Multiset hash of {(m[i,k], m[k,j]) : k} for every entry at once.
 
-    h = mixed_left @ mixed_right mod 2^64; forcing the left stream odd keeps
-    each product term a bijection of the right stream.
+    m: (n, n) int64 with colors >= 0. Each projection is
+    left[m] @ right[m] with integer weights below 2^20, an exact float64
+    integer below 2^53 for n <= MAX_ORDER; the two projections are mixed
+    into one uint64. The order bound is checked before anything is
+    allocated.
     """
-    mu = m.astype(np.uint64)
-    left = _mix64(mu + _SEED_LEFT) | np.uint64(1)
-    right = _mix64(mu + _SEED_RIGHT)
-    return left @ right
+    n = m.shape[0]
+    if n > MAX_ORDER:
+        raise ValueError(
+            f"order {n} exceeds {MAX_ORDER}, the largest order whose float64 pair hash is exact"
+        )
+    dim = int(m.max()) + 1
+    h = np.zeros(m.shape, dtype=np.uint64)
+    for row in (0, 2):  # the (left, right) seed rows of each projection
+        left = _weights(dim, row)[m]
+        right = _weights(dim, row + 1)[m]
+        h *= _PROJECT
+        h += (left @ right).astype(np.uint64)
+    return h
 
 
-def _rank(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, int]:
+def _dense_labels(order: np.ndarray, change: np.ndarray) -> tuple[np.ndarray, int]:
+    """Labels for entries sorted by order, with a new class at each change."""
+    ranks = np.cumsum(change) - 1
+    labels = np.empty(order.size, dtype=np.int64)
+    labels[order] = ranks
+    return labels, int(ranks[-1]) + 1
+
+
+def _lexsort_rank(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, int]:
     """Dense labels numbering the distinct (major, minor) pairs in ascending order."""
     order = np.lexsort((minor, major))
     a, b = major[order], minor[order]
     change = np.empty(a.size, dtype=bool)
     change[0] = True
     change[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    ranks = np.cumsum(change) - 1
-    labels = np.empty(a.size, dtype=np.int64)
-    labels[order] = ranks
-    return labels, int(ranks[-1]) + 1
+    return _dense_labels(order, change)
+
+
+def _rank(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense labels numbering the distinct (major, minor) pairs.
+
+    major: int64 >= 0; minor: values below 2^64. One sort on the key
+    minor + major * _KEY mod 2^64, which for a fixed major is a bijection
+    of minor, so two pairs can share a key only with different majors. If
+    some run of equal keys holds two majors, the two-key sort numbers the
+    pairs instead. Either way the numbering depends on content alone.
+    """
+    key = major.astype(np.uint64)
+    key *= _KEY
+    key += minor.astype(np.uint64, copy=False)
+    order = np.argsort(key)
+    key = key[order]
+    same = key[1:] == key[:-1]
+    del key  # the N^2-sized temporaries are dropped as soon as they are used
+    a = major[order]
+    collided = (same & (a[1:] != a[:-1])).any()
+    del a
+    if collided:
+        return _lexsort_rank(major, minor)
+    change = np.empty(order.size, dtype=bool)
+    change[0] = True
+    np.logical_not(same, out=change[1:])
+    return _dense_labels(order, change)
 
 
 def refine_once(m: np.ndarray, dim: int) -> tuple[np.ndarray, int]:

@@ -116,6 +116,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"bench sizes={sizes} samples={args.samples} seed={args.seed} "
         f"slope={report['timing']['loglog_slope']} -> {args.out}"
     )
+    for gi, per_size in report["timing"]["verdict_median_ms"].items():
+        print(f"  median ms, {gi}: {per_size}")
     return 0
 
 
@@ -154,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_harness)
 
-    p = sub.add_parser("bench", help="time the decision procedure across sizes")
+    p = sub.add_parser("bench", help="time both verdicts of the decision procedure across sizes")
     p.add_argument("--sizes", required=True, help="comma-separated ascending orders")
     p.add_argument("--samples", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)

@@ -5,6 +5,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+from ._refine import MAX_ORDER
 from .binding import BASIC, BindingGraph, bind, classify_cells
 from .graphs import Partition, SimpleGraph, disjoint_union, is_connected
 from .wl import stabilize
@@ -49,7 +50,8 @@ def decide_iso(g: SimpleGraph, h: SimpleGraph) -> GiVerdict:
     Builds the binding graph of the disjoint union, stabilizes it, and
     answers by whether some basic cell straddles the two halves. Unequal
     orders short-circuit to non-isomorphic; disconnected inputs are
-    rejected (decompose into components first).
+    rejected (decompose into components first), and so are orders whose
+    binding graph n(2n + 1) exceeds MAX_ORDER, before anything is built.
     """
     t0 = time.perf_counter()
     for name, graph in (("first", g), ("second", h)):
@@ -70,6 +72,11 @@ def decide_iso(g: SimpleGraph, h: SimpleGraph) -> GiVerdict:
         )
 
     n = g.order
+    if n * (2 * n + 1) > MAX_ORDER:
+        raise ValueError(
+            f"inputs of order {n} need a binding graph of order {n * (2 * n + 1)}, "
+            f"above {MAX_ORDER}, the largest order the pair hash keeps exact"
+        )
     union = disjoint_union(g, h)
     b = bind(union)
     x = stabilize(b.graph)

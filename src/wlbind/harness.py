@@ -445,8 +445,14 @@ def bench_scaling(
     seed: int = 0,
     edge_probability: float = 0.5,
 ) -> dict:
-    """Time the decision procedure on random connected pairs of each size and
-    fit a log-log slope through the median times."""
+    """Time the decision procedure on both verdicts at each size.
+
+    Each sample draws a random connected pair (G, H), usually
+    non-isomorphic, and times it beside the planted pair (G, G^pi), which is
+    isomorphic and the slower verdict. timing holds a log-log slope through
+    the per-size median times of all pairs and, per verdict and size, the
+    median time (verdict_median_ms).
+    """
     if not sizes or sorted(sizes) != list(sizes):
         raise ValueError("sizes must be a non-empty ascending list")
     if any(not 2 <= s <= MAX_BENCH_SIZE for s in sizes):
@@ -455,30 +461,37 @@ def bench_scaling(
         raise ValueError("samples must be >= 1")
     started = time.perf_counter()
     rng = random.Random(seed)
-    report = _new_report("bench", seed, {s: samples for s in sizes})
+    report = _new_report("bench", seed, {s: 2 * samples for s in sizes})
     case_ms: list[float] = []
     medians: list[float] = []
+    by_verdict: dict[str, dict[str, list[float]]] = {"iso": {}, "noniso": {}}
 
     for size in sizes:
         times: list[float] = []
         for s in range(samples):
             g = random_connected_graph(size, rng, edge_probability)
             h = random_connected_graph(size, rng, edge_probability)
-            verdict = decide_iso(g, h)
-            times.append(verdict.timing_ms)
-            case_ms.append(verdict.timing_ms)
-            report["cases"].append(
-                {
-                    "id": f"n{size}:{s}",
-                    "graphs": [_g6(g), _g6(h)],
-                    "gi": "iso" if verdict.isomorphic else "noniso",
-                    "oracle": "skipped",
-                    "agree": None,
-                    "n": size,
-                    "binding_order": size * (2 * size + 1),
-                    "ms": round(verdict.timing_ms, 3),
-                }
-            )
+            images = list(range(1, size + 1))
+            rng.shuffle(images)
+            planted = apply_permutation(g, Permutation(tuple(images)))
+            for kind, other in (("random", h), ("planted", planted)):
+                verdict = decide_iso(g, other)
+                gi = "iso" if verdict.isomorphic else "noniso"
+                times.append(verdict.timing_ms)
+                case_ms.append(verdict.timing_ms)
+                by_verdict[gi].setdefault(str(size), []).append(verdict.timing_ms)
+                report["cases"].append(
+                    {
+                        "id": f"n{size}:{s}:{kind}",
+                        "graphs": [_g6(g), _g6(other)],
+                        "gi": gi,
+                        "oracle": "skipped",
+                        "agree": None,
+                        "n": size,
+                        "binding_order": size * (2 * size + 1),
+                        "ms": round(verdict.timing_ms, 3),
+                    }
+                )
         medians.append(statistics.median(times))
 
     if len(sizes) >= 2:
@@ -488,6 +501,10 @@ def bench_scaling(
     else:
         slope = float("nan")
     report["timing"]["loglog_slope"] = round(slope, 4)
+    report["timing"]["verdict_median_ms"] = {
+        gi: {n: round(statistics.median(ms), 3) for n, ms in per_size.items()}
+        for gi, per_size in by_verdict.items()
+    }
     return _finish_timing(report, started, case_ms)
 
 

@@ -255,7 +255,7 @@ def test_criterion_6_scaling_bench(tmp_path):
     slope = rep["timing"]["loglog_slope"]
     print(f"  bench: n=16 times {[f'{m:.0f}ms' for m in n16]}, log-log slope {slope}")
     ok = (
-        len(rep["cases"]) == 6
+        len(rep["cases"]) == 12  # 3 sizes x 2 samples x (random, planted) pairs
         and all(m < 60_000 for m in n16)
         and math.isfinite(slope)
     )

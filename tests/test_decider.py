@@ -52,6 +52,18 @@ def test_rejects_disconnected_and_tiny():
         decide_iso(mask_to_graph(1, 0), mask_to_graph(1, 0))
 
 
+def test_rejects_orders_past_hash_bound_before_building(monkeypatch):
+    from wlbind import decider
+
+    def must_not_build(*args):
+        raise AssertionError("the binding graph was built")
+
+    monkeypatch.setattr(decider, "disjoint_union", must_not_build)
+    monkeypatch.setattr(decider, "bind", must_not_build)
+    with pytest.raises(ValueError, match="8256.*8192"):
+        decide_iso(path(64), path(64))
+
+
 def test_verdict_invariant_and_symmetry():
     for g, h in itertools.combinations_with_replacement(connected_classes(4), 2):
         a = decide_iso(g, h)

@@ -234,9 +234,14 @@ def test_verify_counterexample_rejects_fabrications():
 
 def test_bench_smoke():
     r = bench_scaling([4, 5], samples=2, seed=3)
-    assert len(r["cases"]) == 4
+    assert len(r["cases"]) == 8  # a random and a planted pair per sample
     assert all("ms" in c and c["binding_order"] == c["n"] * (2 * c["n"] + 1) for c in r["cases"])
     assert "loglog_slope" in r["timing"]
+    planted = [c for c in r["cases"] if c["id"].endswith(":planted")]
+    assert len(planted) == 4 and all(c["gi"] == "iso" for c in planted)
+    medians = r["timing"]["verdict_median_ms"]
+    assert set(medians["iso"]) == {"4", "5"}
+    assert all(m > 0 for per_size in medians.values() for m in per_size.values())
 
 
 def test_bench_deterministic_verdicts():
@@ -288,6 +293,10 @@ def test_cli_iso_exit_codes(tmp_path, capsys, monkeypatch):
     assert "isomorphic" in capsys.readouterr().out
     assert cli_main(["iso", a, b]) == 1
     assert cli_main(["iso", a, str(tmp_path / "missing.g6")]) == 2
+    big = write_g6(tmp_path, "p64.g6", path(64))  # binding order 8256: over the cap
+    capsys.readouterr()
+    assert cli_main(["iso", big, big]) == 2
+    assert "error: inputs of order 64" in capsys.readouterr().err
 
     def out_of_memory(g, h):
         raise MemoryError()

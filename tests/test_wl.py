@@ -14,6 +14,7 @@ from wlbind import (
     block_partition,
     cell_partition,
     certify_stable,
+    decide_iso,
     diamond,
     disjoint_union,
     embeds,
@@ -230,21 +231,33 @@ def test_stabilize_equivariant_bitwise(data):
 # --- hash collisions ----------------------------------------------------
 
 
+def _planted(g, rng):
+    images = list(range(1, g.order + 1))
+    rng.shuffle(images)
+    return apply_permutation(g, Permutation(tuple(images)))
+
+
 def _collision_cases():
     rng = random.Random(20230521)
-    return {
+    cases = {
         "gnp10": random_connected_graph(10, rng),
         "gnp40": random_connected_graph(40, rng),
         "binding171": bind(
             disjoint_union(random_connected_graph(9, rng), random_connected_graph(9, rng))
         ).graph,
     }
+    for n in range(6, 10):
+        g = random_connected_graph(n, rng)
+        cases[f"random{n}"] = bind(disjoint_union(g, random_connected_graph(n, rng))).graph
+        cases[f"planted{n}"] = bind(disjoint_union(g, _planted(g, rng))).graph
+    return cases
 
 
-@pytest.mark.parametrize("case", ["gnp10", "gnp40", "binding171"])
+@pytest.mark.parametrize("case", list(_collision_cases()))
 def test_stabilize_exact_under_forced_collisions(case, monkeypatch):
-    """With every hash equal, only the exact check separates classes; the
-    fixpoint must still match the hashed run cell for cell."""
+    """With every hash equal, only the exact check separates classes, so
+    each round is the exact refinement; the hashed run must match it cell
+    for cell, dim for dim and round for round."""
     g = _collision_cases()[case]
     hashed = stabilize(g)
     monkeypatch.setattr(_refine, "_pair_hash", lambda m: np.zeros(m.shape, dtype=np.uint64))
@@ -254,6 +267,107 @@ def test_stabilize_exact_under_forced_collisions(case, monkeypatch):
     assert collided.trace.rounds == hashed.trace.rounds
     assert is_stable(collided.graph)
     assert len(hashed.trace.dims) > 2  # a fixpoint needing refinement, not the first round
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_partial_collisions_keep_fixpoint_and_verdict(n, monkeypatch):
+    """A hash reduced to its low bit collides in most rounds; the rounds may
+    differ, but the fixpoint and the verdict may not."""
+    rng = random.Random(n)
+    g = random_connected_graph(n, rng)
+    pairs = [(g, _planted(g, rng)), (g, random_connected_graph(n, rng))]
+    unions = [bind(disjoint_union(a, b)).graph for a, b in pairs]
+    exact = [stabilize(u) for u in unions]
+    verdicts = [decide_iso(a, b) for a, b in pairs]
+    full_hash = _refine._pair_hash
+    monkeypatch.setattr(_refine, "_pair_hash", lambda m: full_hash(m) & np.uint64(1))
+    for u, x in zip(unions, exact):
+        y = stabilize(u)
+        assert y.trace.dims != x.trace.dims  # the collisions did change the rounds
+        assert y.cells == x.cells
+        assert y.dim() == x.dim()
+    for (a, b), v in zip(pairs, verdicts):
+        w = decide_iso(a, b)
+        assert (w.isomorphic, w.stable_dim, w.shared_basic_cells) == (
+            v.isomorphic,
+            v.stable_dim,
+            v.shared_basic_cells,
+        )
+    assert verdicts[0].isomorphic
+
+
+# --- hash and grouping kernels -------------------------------------------
+
+
+def test_pair_hash_order_bound():
+    for dim in (10, 5000):  # the table drawn at import, then one drawn per call
+        w = np.stack([_refine._weights(dim, row)[:dim] for row in range(4)])
+        assert w.max() < 2**20 and w.min() >= 0 and np.array_equal(w, np.floor(w))
+        assert np.array_equal(w[:, :10], _refine._WEIGHTS[:, :10])
+    # every product sum of the largest allowed order stays an exact float64 integer
+    assert _refine.MAX_ORDER * (2**20 - 1) ** 2 < 2**53
+    view = np.broadcast_to(np.int64(0), (_refine.MAX_ORDER + 1, _refine.MAX_ORDER + 1))
+    with pytest.raises(ValueError, match=str(_refine.MAX_ORDER)):
+        _refine._pair_hash(view)  # a view: raising must come before any allocation
+
+
+def _reference_partition(major, minor):
+    groups = {}
+    for i, pair in enumerate(zip(major.tolist(), minor.tolist())):
+        groups.setdefault(pair, []).append(i)
+    return sorted(groups.values())
+
+
+def _partition_of(labels, count):
+    assert labels.min() == 0 and labels.max() == count - 1
+    assert np.bincount(labels, minlength=count).all()  # dense: every label used
+    groups = {}
+    for i, c in enumerate(labels.tolist()):
+        groups.setdefault(c, []).append(i)
+    return sorted(groups.values())
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+    lexsort_rank = _refine._lexsort_rank
+
+    def counted(major, minor):
+        calls.append(major.size)
+        return lexsort_rank(major, minor)
+
+    monkeypatch.setattr(_refine, "_lexsort_rank", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_matches_lexsort_partition(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    size = 3000
+    major = rng.integers(0, 40, size)
+    minor = rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False)
+    minor[rng.integers(0, size, size // 2)] = minor[:size // 2]  # repeated pairs
+    fallbacks = _count_fallbacks(monkeypatch)
+    labels, count = _refine._rank(major, minor)
+    assert _partition_of(labels, count) == _reference_partition(major, minor)
+    assert fallbacks == []
+
+
+def test_rank_key_collision_takes_exact_fallback(monkeypatch):
+    rng = np.random.default_rng(7)
+    size = 500
+    major = rng.integers(0, 10, size)
+    minor = rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False)
+    p, q = 3, int(np.flatnonzero(major != major[3])[0])
+    # minor' = minor + K * (major - major') mod 2^64: a different pair, the same key
+    shift = (major[[p]].astype(np.uint64) - major[[q]].astype(np.uint64)) * _refine._KEY
+    minor[q] = (minor[[p]] + shift)[0]
+    key = major.astype(np.uint64) * _refine._KEY + minor
+    assert key[p] == key[q] and major[p] != major[q]
+    fallbacks = _count_fallbacks(monkeypatch)
+    labels, count = _refine._rank(major, minor)
+    assert fallbacks == [size]
+    assert labels[p] != labels[q]
+    assert _partition_of(labels, count) == _reference_partition(major, minor)
 
 
 # --- partitions on stable graphs ----------------------------------------
