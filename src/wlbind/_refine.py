@@ -13,12 +13,21 @@ The hash is two float64 matrix products of integer color weights below
 2^20, so it runs on BLAS and every sum in it is an exact integer up to
 order MAX_ORDER, whatever the summation order.
 
-The exact check runs when a round leaves the class count unchanged. It
-compares every class member's sorted signature vector with that of the
-member before it in its class, in entry blocks of bounded size, and splits
-a class that fails by exact signature order. All numbering derives from
-matrix content alone, which is what makes stabilization
-permutation-equivariant and reproducible across runs.
+The exact check runs when a round leaves the class count unchanged. A
+partition with no class of two entries passes at once. Otherwise the check
+looks for a swap witness: the vertex involution sigma that swaps the two
+vertices of every two-vertex diagonal class of m and fixes the rest, which
+is taken only when no diagonal class is larger. If both m and the
+partition are sigma-invariant, entry e = (i, j) and its image
+sigma(e) = (sigma(i), sigma(j)) have equal signatures (re-index k by
+sigma(k)) and share a class, so each class is checked on its members with
+e <= sigma(e) alone. The two invariance checks carry the whole argument,
+however sigma was guessed; when one fails, every member is checked. The
+checked members of a class are compared, by sorted signature vector, with
+the member before them, in entry blocks of bounded size, and a class that
+fails is split over all of its members by exact signature order. All
+numbering derives from matrix content alone, which is what makes
+stabilization permutation-equivariant and reproducible across runs.
 """
 from __future__ import annotations
 
@@ -68,6 +77,14 @@ def _weights(dim: int, row: int) -> np.ndarray:
     return _WEIGHTS[row] if dim <= _TABLE_COLORS else _draw_weights(dim, row)
 
 
+def check_order(n: int) -> None:
+    """Reject an order above MAX_ORDER, where the pair hash stops being exact."""
+    if n > MAX_ORDER:
+        raise ValueError(
+            f"order {n} exceeds {MAX_ORDER}, the largest order whose float64 pair hash is exact"
+        )
+
+
 def _pair_hash(m: np.ndarray) -> np.ndarray:
     """Multiset hash of {(m[i,k], m[k,j]) : k} for every entry at once.
 
@@ -77,11 +94,7 @@ def _pair_hash(m: np.ndarray) -> np.ndarray:
     into one uint64. The order bound is checked before anything is
     allocated.
     """
-    n = m.shape[0]
-    if n > MAX_ORDER:
-        raise ValueError(
-            f"order {n} exceeds {MAX_ORDER}, the largest order whose float64 pair hash is exact"
-        )
+    check_order(m.shape[0])
     dim = int(m.max()) + 1
     h = np.zeros(m.shape, dtype=np.uint64)
     for row in (0, 2):  # the (left, right) seed rows of each projection
@@ -156,44 +169,97 @@ def _signatures(m: np.ndarray, dim: int, entries: np.ndarray) -> np.ndarray:
     return sigs
 
 
+def _swap_witness(m: np.ndarray) -> np.ndarray | None:
+    """The vertex involution read off m's diagonal, or None.
+
+    sigma swaps the two vertices of every diagonal class of size two and
+    fixes the rest; None when some class has three or more vertices, or
+    none has two (sigma would be the identity, which prunes nothing).
+    Nothing here is trusted: the caller checks that sigma preserves what
+    it relies on.
+    """
+    diag = m.diagonal()
+    sizes = np.bincount(diag)
+    if sizes.max() != 2:
+        return None
+    order = np.argsort(diag, kind="stable")
+    pair = np.flatnonzero(diag[order[1:]] == diag[order[:-1]])
+    sigma = np.arange(diag.size)
+    sigma[order[pair]] = order[pair + 1]
+    sigma[order[pair + 1]] = order[pair]
+    return sigma
+
+
+def _entries_to_check(m: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Flat indices whose signatures decide whether every class is pure.
+
+    Without a witness these are the members of every class of two or more.
+    With a swap witness sigma under which m and labels are both invariant,
+    sig(e) = sig(sigma(e)) and both lie in one class, so a class holds one
+    signature exactly when its members with e <= sigma(e) do; only classes
+    with two or more such members are returned.
+    """
+    flat = labels.ravel()
+    sigma = _swap_witness(m)
+    if (
+        sigma is None
+        or not np.array_equal(m[np.ix_(sigma, sigma)], m)
+        or not np.array_equal(labels[np.ix_(sigma, sigma)], labels)
+    ):
+        return np.flatnonzero((sizes > 1)[flat])
+    # e = (i, j) <= sigma(e) in flat (row-major) order: i < sigma(i), or
+    # i fixed and j <= sigma(j); built from boolean rows and columns only
+    idx = np.arange(sigma.size)
+    rep = ((idx < sigma)[:, None] | ((idx == sigma)[:, None] & (idx <= sigma)[None, :])).ravel()
+    many = np.bincount(flat[rep], minlength=sizes.size) > 1
+    return np.flatnonzero(rep & many[flat])
+
+
 def _verify_streaming(
     m: np.ndarray, dim: int, labels: np.ndarray, count: int
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, int]:
     """Exact check of a partition of m's entries by pair signature.
 
     m: (n, n) with colors dense in [0, dim); labels: (n, n) classes dense in
-    [0, count). Members of each class are compared with the class member
-    before them, so a class holds one signature exactly when every
-    comparison is equal. Returns (labels, count) unchanged when every class
-    passes, else the partition refined by exact signature: a failing class
-    is split into sub-classes numbered by signature order, with one class's
-    signatures materialized at a time.
+    [0, count). A partition with no class of two entries passes before any
+    sort. Otherwise the entries that decide purity (all members of the
+    shared classes, or under a verified swap witness one member of each
+    sigma-pair, see _entries_to_check) are grouped by class, and each is
+    compared with the checked member before it in its class, so a class
+    holds one signature exactly when every comparison is equal. Returns
+    (labels, count, checked): labels and count unchanged when every class
+    passes, else the partition refined by exact signature (a failing class
+    is split over all of its members into sub-classes numbered by signature
+    order, with one class's signatures materialized at a time); checked
+    counts the entries whose signatures the comparison computed.
     """
     flat = labels.ravel()
-    order = np.argsort(flat, kind="stable")  # entries grouped by class
     sizes = np.bincount(flat, minlength=count)
-    shared = order[np.repeat(sizes > 1, sizes)]  # entries of classes with two or more
+    if sizes.max() < 2:  # discrete: nothing to compare
+        return labels, count, 0
+    check = _entries_to_check(m, labels, sizes)
+    check = check[np.argsort(flat[check], kind="stable")]  # grouped by class
 
     bad = np.zeros(count, dtype=bool)
     step = max(1, _BLOCK // m.shape[0])
-    for start in range(0, shared.size - 1, step):
-        block = shared[start:start + step + 1]  # shares its last entry with the next block
+    for start in range(0, check.size - 1, step):
+        block = check[start:start + step + 1]  # shares its last entry with the next block
         owner = flat[block]
         sigs = _signatures(m, dim, block)
         neq = (owner[1:] == owner[:-1]) & (sigs[1:] != sigs[:-1]).any(axis=1)
         bad[owner[1:][neq]] = True
-    if not bad.any():
-        return labels, count
-
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    sub = np.zeros(flat.size, dtype=np.int64)
-    for cls in np.flatnonzero(bad).tolist():
-        members = order[bounds[cls]:bounds[cls + 1]]
-        sigs = _signatures(m, dim, members).astype(">i8")  # byte order = numeric order
-        keys = sigs.view(np.dtype((np.void, sigs.shape[1] * 8))).ravel()
-        _, sub[members] = np.unique(keys, return_inverse=True)
-    out, total = _rank(flat, sub)
-    return out.reshape(labels.shape), total
+    if bad.any():
+        order = np.argsort(flat, kind="stable")  # entries grouped by class
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        sub = np.zeros(flat.size, dtype=np.int64)
+        for cls in np.flatnonzero(bad).tolist():
+            members = order[bounds[cls]:bounds[cls + 1]]
+            sigs = _signatures(m, dim, members).astype(">i8")  # byte order = numeric order
+            keys = sigs.view(np.dtype((np.void, sigs.shape[1] * 8))).ravel()
+            _, sub[members] = np.unique(keys, return_inverse=True)
+        out, total = _rank(flat, sub)
+        labels, count = out.reshape(labels.shape), total
+    return labels, count, int(check.size)
 
 
 def compact(m: np.ndarray) -> tuple[np.ndarray, int]:

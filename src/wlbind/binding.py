@@ -4,6 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal
 
+from ._refine import check_order
 from .graphs import BLANK, EDGE, LabeledGraph, Partition, Permutation, SimpleGraph, apply_permutation
 from .wl import StableGraph
 
@@ -51,12 +52,17 @@ def bind(g: SimpleGraph) -> BindingGraph:
 
     Binding vertices are placed after the basic ones, in lexicographic
     pair order, which fixes one canonical naming among the many the
-    construction allows.
+    construction allows. A binding order n(n + 1)/2 above MAX_ORDER is
+    rejected before anything is built.
     """
     n = g.order
     if n < 2:
         raise ValueError("binding graph undefined for basic order < 2")
     n1 = n * (n + 1) // 2
+    try:
+        check_order(n1)
+    except ValueError as exc:
+        raise ValueError(f"basic order {n}: binding graph {exc}") from None
     m = [[BLANK] * n1 for _ in range(n1)]
     for i in range(n):
         for j in range(n):

@@ -41,6 +41,7 @@ def _cmd_stabilize(args: argparse.Namespace) -> int:
     if args.trace:
         print(f"rounds: {x.trace.rounds}")
         print(f"dims: {list(x.trace.dims)}")
+        print(f"checked entries: {x.trace.checked_entries} of {x.order * x.order}")
         if x.trace.exceeded_iteration_hint:
             print("note: round count exceeded the n*log2(n) bookkeeping threshold")
     return 0

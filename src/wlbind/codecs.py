@@ -1,6 +1,7 @@
 """graph6 and adjacency-list text codecs for simple graphs."""
 from __future__ import annotations
 
+from ._refine import MAX_ORDER
 from .graphs import EDGE, SimpleGraph
 
 _HEADER = b">>graph6<<"
@@ -27,7 +28,8 @@ def parse_graph6(data: bytes | str) -> SimpleGraph:
 
     Accepts the optional '>>graph6<<' prefix and ignores surrounding
     whitespace. Everything else is validated: byte range, header form,
-    and the exact padded bit length.
+    the order (1 to MAX_ORDER, checked before the body is read) and the
+    exact padded bit length.
     """
     if isinstance(data, str):
         try:
@@ -60,8 +62,8 @@ def parse_graph6(data: bytes | str) -> SimpleGraph:
             for k in range(2, 8):
                 n = (n << 6) | (raw[k] - 63)
             pos = 8
-    if n < 1:
-        raise Graph6Error(f"order {n} unsupported (need n >= 1)", 0)
+    if not 1 <= n <= MAX_ORDER:
+        raise Graph6Error(f"order {n} unsupported (need 1 <= n <= {MAX_ORDER})", 0)
 
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -118,7 +120,10 @@ def encode_graph6(g: SimpleGraph) -> bytes:
 
 
 def parse_adjlist(text: str) -> SimpleGraph:
-    """Parse the 'n\\nu v\\n...' edge-list format with 1-based vertices."""
+    """Parse the 'n\\nu v\\n...' edge-list format with 1-based vertices.
+
+    The order must lie in [1, MAX_ORDER]; it is checked before any edge is read.
+    """
     lines = text.splitlines()
     idx = 0
     while idx < len(lines) and not lines[idx].strip():
@@ -129,8 +134,8 @@ def parse_adjlist(text: str) -> SimpleGraph:
         n = int(lines[idx].strip())
     except ValueError:
         raise AdjlistError(f"order line is not an integer: {lines[idx]!r}", idx + 1) from None
-    if n < 1:
-        raise AdjlistError(f"order {n} unsupported (need n >= 1)", idx + 1)
+    if not 1 <= n <= MAX_ORDER:
+        raise AdjlistError(f"order {n} unsupported (need 1 <= n <= {MAX_ORDER})", idx + 1)
 
     seen: set[tuple[int, int]] = set()
     edges: list[tuple[int, int]] = []

@@ -5,7 +5,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from ._refine import MAX_ORDER
+from ._refine import check_order
 from .binding import BASIC, BindingGraph, bind, classify_cells
 from .graphs import Partition, SimpleGraph, disjoint_union, is_connected
 from .wl import stabilize
@@ -72,11 +72,12 @@ def decide_iso(g: SimpleGraph, h: SimpleGraph) -> GiVerdict:
         )
 
     n = g.order
-    if n * (2 * n + 1) > MAX_ORDER:
-        raise ValueError(
-            f"inputs of order {n} need a binding graph of order {n * (2 * n + 1)}, "
-            f"above {MAX_ORDER}, the largest order the pair hash keeps exact"
-        )
+    # bind would reject the union too, but only after the O(n^2) union is
+    # built, and its message would name the union's order 2n, not the inputs'
+    try:
+        check_order(n * (2 * n + 1))
+    except ValueError as exc:
+        raise ValueError(f"inputs of order {n}: binding graph {exc}") from None
     union = disjoint_union(g, h)
     b = bind(union)
     x = stabilize(b.graph)

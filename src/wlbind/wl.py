@@ -48,12 +48,15 @@ class StabilizationTrace:
 
     rounds counts executed refinement rounds including the final confirming
     one whose dimension repeats; dims[0] is the dimension right after the
-    diagonal recoloring.
+    diagonal recoloring. checked_entries counts the entries whose exact
+    signature the fixpoint checks compared: 0 at a discrete fixpoint, and at
+    most one member of each sigma-pair when a swap witness prunes the check.
     """
 
     rounds: int
     dims: tuple[int, ...]
     exceeded_iteration_hint: bool = False
+    checked_entries: int = 0
 
 
 @dataclass(frozen=True)
@@ -133,17 +136,21 @@ def stabilize(g: LabeledGraph) -> StableGraph:
     fixpoint is the exact one. Internal colors are assigned
     canonically from matrix content, so the output is bitwise invariant
     under vertex relabeling: stabilizing a permuted graph yields the
-    permuted stabilization.
+    permuted stabilization. Orders above the pair hash's exactness bound
+    are rejected before anything is allocated.
     """
     n = g.order
+    _refine.check_order(n)
     m, dim = _refine.recognize(_to_array(g))
     dims = [dim]
     rounds = 0
+    checked = 0
     if n > 1:
         while True:
             labels, count = _refine.refine_once(m, dim)
             if count == dim:  # hash fixpoint: confirm it exactly
-                labels, count = _refine._verify_streaming(m, dim, labels, count)
+                labels, count, seen = _refine._verify_streaming(m, dim, labels, count)
+                checked += seen
             rounds += 1
             dims.append(count)
             if count == dim:
@@ -157,7 +164,9 @@ def stabilize(g: LabeledGraph) -> StableGraph:
 
     final = _from_array(m + 1)
     hint = rounds > max(2, math.ceil(n * math.log2(n))) if n > 1 else False
-    trace = StabilizationTrace(rounds=rounds, dims=tuple(dims), exceeded_iteration_hint=hint)
+    trace = StabilizationTrace(
+        rounds=rounds, dims=tuple(dims), exceeded_iteration_hint=hint, checked_entries=checked
+    )
     return StableGraph(graph=final, cells=_cells_from_diagonal(final), trace=trace)
 
 
@@ -170,11 +179,12 @@ def _cells_from_diagonal(g: LabeledGraph) -> Partition:
 
 def is_stable(g: LabeledGraph) -> bool:
     """True when one exact refinement round leaves the entry partition unchanged."""
+    _refine.check_order(g.order)
     m, dim = _refine.compact(_to_array(g))
     # the exact round: entries grouped by hash alone, then split by signature
     _, hashed = np.unique(_refine._pair_hash(m), return_inverse=True)
     groups = int(hashed.max()) + 1
-    labels, count = _refine._verify_streaming(m, dim, hashed.reshape(m.shape), groups)
+    labels, count, _ = _refine._verify_streaming(m, dim, hashed.reshape(m.shape), groups)
     if count != dim:
         return False
     pairs = m.ravel() * np.int64(count) + labels.ravel()

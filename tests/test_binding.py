@@ -54,6 +54,12 @@ def test_bind_rejects_tiny():
         bind(mask_to_graph(1, 0))
 
 
+def test_bind_rejects_binding_orders_past_hash_bound():
+    assert bind(path(127)).order == 8128  # 127 * 128 / 2: the largest that fits
+    with pytest.raises(ValueError, match="8256.*8192"):
+        bind(path(128))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 7), st.data())
 def test_bind_structure(n, data):

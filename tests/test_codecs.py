@@ -58,6 +58,16 @@ def test_graph6_error_reporting():
     assert e.value.offset == 1
 
 
+def test_orders_past_the_cap_are_rejected_before_decoding():
+    # a 3-byte order field of 9000 with no body: the order is refused first
+    field = bytes([126] + [63 + ((9000 >> s) & 63) for s in (12, 6, 0)])
+    with pytest.raises(Graph6Error, match="9000 unsupported"):
+        parse_graph6(field)
+    with pytest.raises(AdjlistError, match="9000 unsupported") as e:
+        parse_adjlist("9000\n")
+    assert e.value.line == 1
+
+
 @given(st.integers(2, 12), st.data())
 def test_graph6_roundtrip_random(n, data):
     e = n * (n - 1) // 2

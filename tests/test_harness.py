@@ -276,10 +276,15 @@ def test_cli_stabilize_and_bind(tmp_path, capsys):
     assert cli_main(["stabilize", f, "--trace"]) == 0
     out = capsys.readouterr().out
     assert "dim: 2" in out and "cells: 1,2,3" in out and "rounds:" in out
+    assert "checked entries: 9 of 9" in out  # two classes, each compared in full
 
     assert cli_main(["bind", f]) == 0
     out = capsys.readouterr().out.strip()
     assert parse_graph6(out).order == 6
+
+    big = write_g6(tmp_path, "p128.g6", path(128))  # binding order 8256: over the cap
+    assert cli_main(["bind", big]) == 2
+    assert "8256" in capsys.readouterr().err
 
     adj = tmp_path / "p3.adj"
     adj.write_text("3\n1 2\n2 3\n")

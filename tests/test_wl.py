@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wlbind import _refine
+from wlbind import _refine, wl
 from wlbind import (
     LabeledGraph,
     Permutation,
@@ -33,6 +33,7 @@ from wlbind.harness import random_connected_graph
 
 from helpers import (
     assert_stable_laws,
+    brute_force_aut,
     connected_classes,
     cycle,
     empty,
@@ -368,6 +369,143 @@ def test_rank_key_collision_takes_exact_fallback(monkeypatch):
     assert fallbacks == [size]
     assert labels[p] != labels[q]
     assert _partition_of(labels, count) == _reference_partition(major, minor)
+
+
+# --- the fixpoint check and its swap witness ------------------------------
+
+# the vertex swap (0 1)(2 3) that a diagonal of the form [a, a, b, b] names
+_SIGMA = np.array([1, 0, 3, 2])
+# sigma-invariant: every off-diagonal entry 2, diagonal classes {0, 1} and {2, 3}
+_SYMMETRIC = np.array([[0, 2, 2, 2], [2, 0, 2, 2], [2, 2, 1, 2], [2, 2, 2, 1]])
+
+
+def _labels_from(classes, n):
+    """(n, n) labels dense from 0 for a list of flat-index classes; every
+    other entry is a class of its own."""
+    ids = np.arange(n * n) + len(classes)
+    for c, members in enumerate(classes):
+        ids[members] = c
+    return np.unique(ids, return_inverse=True)[1].reshape(n, n)
+
+
+def _exact_refinement(m, labels):
+    """Reference: entries grouped by (label, multiset of pair colors)."""
+    n = m.shape[0]
+    rows = m.tolist()
+    groups = {}
+    for i in range(n):
+        for j in range(n):
+            sig = tuple(sorted((rows[i][k], rows[k][j]) for k in range(n)))
+            groups.setdefault((int(labels[i, j]), sig), []).append(i * n + j)
+    return sorted(groups.values())
+
+
+def _verify(m, labels):
+    count = int(labels.max()) + 1
+    out, total, checked = _refine._verify_streaming(m, int(m.max()) + 1, labels, count)
+    return _partition_of(out.ravel(), total), checked
+
+
+def test_verify_checks_the_matrix_is_swap_invariant():
+    """Each class is one sigma-orbit, so a pruned check would compare nothing;
+    m is not sigma-invariant, so some orbit mixes signatures and must split."""
+    m = np.array([[0, 3, 3, 2], [2, 0, 2, 2], [2, 3, 1, 3], [3, 3, 3, 1]])
+    assert np.array_equal(_refine._swap_witness(m), _SIGMA)
+    assert not np.array_equal(m[_SIGMA][:, _SIGMA], m)
+    orbits = {}
+    for e in range(16):
+        i, j = divmod(e, 4)
+        orbits.setdefault(min(e, _SIGMA[i] * 4 + _SIGMA[j]), []).append(e)
+    labels = _labels_from(list(orbits.values()), 4)
+    assert np.array_equal(labels[_SIGMA][:, _SIGMA], labels)
+    expected = _exact_refinement(m, labels)
+    assert len(expected) > len(orbits)
+    assert _verify(m, labels)[0] == expected
+
+
+def test_verify_checks_the_partition_is_swap_invariant():
+    """m is sigma-invariant, but the class {(0,1), (3,2)} is not: its one
+    member with e <= sigma(e) is (0,1), so a pruned check would miss (3,2)."""
+    m = _SYMMETRIC
+    assert np.array_equal(m[_SIGMA][:, _SIGMA], m)
+    labels = _labels_from([[0 * 4 + 1, 3 * 4 + 2]], 4)
+    assert not np.array_equal(labels[_SIGMA][:, _SIGMA], labels)
+    partition, checked = _verify(m, labels)
+    assert partition == _exact_refinement(m, labels) == [[e] for e in range(16)]
+    assert checked == 2  # no witness: the one shared class is compared in full
+
+
+def test_verify_splits_a_mismatched_pair_among_swap_pairs():
+    """The sigma-pairs {(0,2), (1,3)} and {(0,3), (1,2)} share a signature;
+    the pair {(2,3), (3,2)} is planted in their class with another. The
+    check compares one member of each pair and splits the class exactly."""
+    m = _SYMMETRIC
+    exact = _exact_refinement(m, np.zeros((4, 4), dtype=np.int64))
+    assert [2, 3, 6, 7] in exact and [11, 14] in exact
+    merged = [c for c in exact if c not in ([2, 3, 6, 7], [11, 14])]
+    labels = _labels_from(merged + [[2, 3, 6, 7, 11, 14]], 4)
+    assert np.array_equal(labels[_SIGMA][:, _SIGMA], labels)
+    partition, checked = _verify(m, labels)
+    assert partition == exact
+    # (0,2), (0,3), (2,3) of the merged class and (2,0), (2,1) of its
+    # transpose; every other class holds one pair
+    assert checked == 5
+
+
+def _witness_cases(n):
+    rng = random.Random(n)
+    g = random_connected_graph(n, rng)
+    return {"planted": (g, _planted(g, rng)), "random": (g, random_connected_graph(n, rng))}
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_witness_pruning_changes_nothing(n, monkeypatch):
+    """With the witness finder disabled every shared class is compared in
+    full; fixpoints, traces, stability and verdicts must be the same."""
+    pairs = _witness_cases(n)
+    graphs = [disjoint_union(g, h) for g, h in pairs.values()]
+    graphs += [bind(u).graph for u in graphs]
+
+    def run():
+        stable = [stabilize(u) for u in graphs]
+        verdicts = [decide_iso(g, h) for g, h in pairs.values()]
+        return (
+            [(x.graph, x.cells, x.trace.dims, x.trace.rounds, is_stable(x.graph)) for x in stable],
+            [(v.isomorphic, v.shared_basic_cells, v.stable_dim, v.rounds) for v in verdicts],
+            [x.trace.checked_entries for x in stable],
+        )
+
+    pruned, pruned_verdicts, pruned_checked = run()
+    monkeypatch.setattr(_refine, "_swap_witness", lambda m: None)
+    full, full_verdicts, full_checked = run()
+    assert pruned == full and pruned_verdicts == full_verdicts
+    assert all(a <= b for a, b in zip(pruned_checked, full_checked))
+    assert pruned_verdicts[0][0] and not pruned_verdicts[1][0]
+
+
+def test_checked_entries_show_the_pruning():
+    """A planted union of an asymmetric graph checks almost nothing at its
+    fixpoint; a non-isomorphic union with a discrete fixpoint checks nothing."""
+    rng = random.Random(4)
+    g = random_connected_graph(8, rng)
+    planted, other = _planted(g, rng), random_connected_graph(8, rng)
+    assert len(brute_force_aut(g)) == 1  # so the stable cells are sigma-pairs
+    x = stabilize(bind(disjoint_union(g, planted)).graph)
+    assert x.dim() < x.order**2  # not discrete: there is a check to prune
+    assert x.trace.checked_entries < 0.05 * x.order**2
+    y = stabilize(bind(disjoint_union(g, other)).graph)
+    assert y.dim() == y.order**2 and y.trace.checked_entries == 0
+
+
+def test_orders_past_the_cap_are_rejected_before_conversion(monkeypatch):
+    def must_not_convert(g):
+        raise AssertionError("the graph was converted to an array")
+
+    monkeypatch.setattr(_refine, "MAX_ORDER", 9)
+    monkeypatch.setattr(wl, "_to_array", must_not_convert)
+    for fn in (stabilize, is_stable):
+        with pytest.raises(ValueError, match="order 10 exceeds 9"):
+            fn(order10_graph())
 
 
 # --- partitions on stable graphs ----------------------------------------
