@@ -4,6 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal
 
+import numpy as np
+
 from ._refine import check_order
 from .graphs import BLANK, EDGE, LabeledGraph, Partition, Permutation, SimpleGraph, apply_permutation
 from .wl import StableGraph
@@ -30,7 +32,7 @@ class BindingGraph:
 
     def basic_graph(self) -> SimpleGraph:
         n = self.basic_count
-        return SimpleGraph(tuple(tuple(self.graph.rows[i][:n]) for i in range(n)))
+        return SimpleGraph(self.graph.matrix[:n, :n])
 
     def pair_of(self, p: int) -> tuple[int, int]:
         """The basic pair bound by binding vertex p."""
@@ -63,25 +65,13 @@ def bind(g: SimpleGraph) -> BindingGraph:
         check_order(n1)
     except ValueError as exc:
         raise ValueError(f"basic order {n}: binding graph {exc}") from None
-    m = [[BLANK] * n1 for _ in range(n1)]
-    for i in range(n):
-        for j in range(n):
-            m[i][j] = g.rows[i][j]
-    pair_index: dict[tuple[int, int], int] = {}
-    p = n + 1
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            pair_index[(u, v)] = p
-            m[u - 1][p - 1] = EDGE
-            m[p - 1][u - 1] = EDGE
-            m[v - 1][p - 1] = EDGE
-            m[p - 1][v - 1] = EDGE
-            p += 1
-    return BindingGraph(
-        graph=SimpleGraph(tuple(tuple(r) for r in m)),
-        basic_count=n,
-        pair_index=pair_index,
-    )
+    m = np.zeros((n1, n1), dtype=np.int64)
+    m[:n, :n] = g.matrix
+    u, v = np.triu_indices(n, 1)  # the pairs u < v in lexicographic order
+    p = np.arange(n, n1)
+    m[u, p] = m[p, u] = m[v, p] = m[p, v] = EDGE
+    pair_index = dict(zip(zip((u + 1).tolist(), (v + 1).tolist()), (p + 1).tolist()))
+    return BindingGraph(graph=SimpleGraph(m), basic_count=n, pair_index=pair_index)
 
 
 def binding_vertex(b: BindingGraph, u: int, v: int) -> int:
@@ -103,18 +93,10 @@ def phi_graph(b: BindingGraph, x: StableGraph) -> LabeledGraph:
     if x.order != b.order:
         raise ValueError(f"order mismatch: stable graph {x.order}, binding graph {b.order}")
     n = b.basic_count
-    rows = []
-    for i in range(b.order):
-        row = []
-        for j in range(b.order):
-            if i != j and b.graph.rows[i][j] == BLANK:
-                row.append(BLANK)
-            elif i < n and j < n and b.graph.rows[i][j] == EDGE:
-                row.append(BLANK)
-            else:
-                row.append(x.graph.rows[i][j])
-        rows.append(tuple(row))
-    return LabeledGraph(tuple(rows))
+    keep = b.graph.matrix == EDGE
+    keep[:n, :n] = False  # basic edges
+    np.fill_diagonal(keep, True)
+    return LabeledGraph(np.where(keep, x.graph.matrix, BLANK))
 
 
 def extend_automorphism(b: BindingGraph, s: Permutation) -> Permutation:

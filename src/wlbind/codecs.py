@@ -1,6 +1,8 @@
 """graph6 and adjacency-list text codecs for simple graphs."""
 from __future__ import annotations
 
+import numpy as np
+
 from ._refine import MAX_ORDER
 from .graphs import EDGE, SimpleGraph
 
@@ -73,22 +75,21 @@ def parse_graph6(data: bytes | str) -> SimpleGraph:
             f"expected {nbytes} body bytes for order {n}, got {len(body)}", pos + min(len(body), nbytes)
         )
 
-    bits = []
-    for b in body:
-        v = b - 63
-        bits.extend((v >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    # six bits per byte, most significant first
+    six = np.frombuffer(body, dtype=np.uint8) - np.uint8(63)
+    bits = np.unpackbits(six[:, None], axis=1)[:, 2:].ravel().view(bool)
+    if bits[nbits:].any():
         raise Graph6Error("non-zero padding bits", pos + nbits // 6)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[_lower_triangle(n)] = bits[:nbits]
+    adj |= adj.T
+    return SimpleGraph(adj)
 
-    m = [[0] * n for _ in range(n)]
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                m[i][j] = EDGE
-                m[j][i] = EDGE
-            k += 1
-    return SimpleGraph(tuple(tuple(r) for r in m))
+
+def _lower_triangle(n: int) -> np.ndarray:
+    """Mask of the entries (j, i) with i < j. Read row by row it visits them
+    in graph6's bit order: column j of the upper triangle, top to bottom."""
+    return np.tri(n, n, -1, dtype=bool)
 
 
 def encode_graph6(g: SimpleGraph) -> bytes:
@@ -105,17 +106,12 @@ def encode_graph6(g: SimpleGraph) -> bytes:
     else:
         raise ValueError(f"order {n} too large for this encoder")
 
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.rows[i][j] == EDGE else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    for k in range(0, len(bits), 6):
-        v = 0
-        for b in bits[k:k + 6]:
-            v = (v << 1) | b
-        out.append(v + 63)
+    bits = g.matrix[_lower_triangle(n)] == EDGE
+    padded = np.zeros(-(-bits.size // 6) * 6, dtype=bool)
+    padded[:bits.size] = bits
+    # packbits fills the top six bits of each byte
+    six = np.packbits(padded.reshape(-1, 6), axis=1).ravel() >> np.uint8(2)
+    out += (six + np.uint8(63)).tobytes()
     return bytes(out)
 
 

@@ -1,43 +1,92 @@
 """Labeled graphs as dense color matrices, plus permutations and partitions.
 
-A graph of order n is an n x n matrix of non-negative integer color ids.
-Color 0 is reserved for the blank label (non-edges, and the diagonal of
-simple graphs); it is never handed out as a fresh color by any refinement
-step. Vertices are 1-based everywhere in the public API.
+A graph of order n holds one n x n matrix of non-negative integer color
+ids: a read-only, C-contiguous int64 numpy array, copied from its input
+once at construction and validated with array operations. `rows` is a
+tuple-of-tuples view of the same matrix, built on first use, for the
+pure-Python reference code and the per-entry checks. Color 0 is reserved
+for the blank label (non-edges, and the diagonal of simple graphs); it is
+never handed out as a fresh color by any refinement step. Vertices are
+1-based everywhere in the public API.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Any, Iterable
+
+import numpy as np
 
 BLANK = 0  # the reserved non-edge / blank color
 EDGE = 1   # the single edge color used by simple graphs
 
+_INT64_MAX = np.iinfo(np.int64).max
 
-@dataclass(frozen=True)
+
+def _color_matrix(data: Any) -> np.ndarray:
+    """A read-only C-contiguous int64 copy of a square non-negative matrix.
+
+    The dtype is checked before any cast, so a float, complex or object
+    entry raises instead of being truncated.
+    """
+    try:
+        a = np.asarray(data)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValueError(f"matrix is ragged or not numeric: {exc}") from None
+    if a.size == 0:
+        raise ValueError("graph must have order >= 1")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix is not square: shape {a.shape}")
+    if a.dtype.kind not in "biu":
+        raise ValueError(
+            f"colors must be integers that fit int64, got a matrix of dtype {a.dtype}"
+        )
+    if a.dtype.kind == "u" and a.max() > _INT64_MAX:
+        raise ValueError(f"color {a.max()} does not fit int64")
+    m = np.array(a, dtype=np.int64, order="C")
+    if m.min() < 0:
+        raise ValueError(f"colors must be non-negative integers, got {m.min()}")
+    m.flags.writeable = False
+    return m
+
+
+@dataclass(frozen=True, eq=False)
 class LabeledGraph:
-    """Dense n x n matrix of colors, row-major, immutable."""
+    """Dense n x n matrix of colors: one read-only int64 array.
 
-    rows: tuple[tuple[int, ...], ...]
+    Two graphs are equal when they have the same class and equal matrices;
+    the hash agrees with that.
+    """
+
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.rows)
-        if n == 0:
-            raise ValueError("graph must have order >= 1")
-        for r in self.rows:
-            if len(r) != n:
-                raise ValueError(f"matrix is not square: row of length {len(r)}, order {n}")
-            for c in r:
-                if not isinstance(c, int) or c < 0:
-                    raise ValueError(f"colors must be non-negative integers, got {c!r}")
+        object.__setattr__(self, "matrix", _color_matrix(self.matrix))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "LabeledGraph":
-        return cls(tuple(tuple(int(c) for c in r) for r in rows))
+        return cls([list(r) for r in rows])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.matrix.tobytes())
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The matrix as a tuple of row tuples of Python ints."""
+        return tuple(map(tuple, self.matrix.tolist()))
 
     @property
     def order(self) -> int:
-        return len(self.rows)
+        return self.matrix.shape[0]
 
     def cell(self, u: int, v: int) -> int:
         """Color of entry (u, v), 1-based."""
@@ -45,16 +94,10 @@ class LabeledGraph:
 
     def dim(self) -> int:
         """Number of distinct colors appearing in the matrix."""
-        seen: set[int] = set()
-        for r in self.rows:
-            seen.update(r)
-        return len(seen)
+        return int(np.unique(self.matrix).size)
 
     def colors(self) -> frozenset[int]:
-        seen: set[int] = set()
-        for r in self.rows:
-            seen.update(r)
-        return frozenset(seen)
+        return frozenset(np.unique(self.matrix).tolist())
 
 
 class SimpleGraph(LabeledGraph):
@@ -62,45 +105,47 @@ class SimpleGraph(LabeledGraph):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        n = self.order
-        for i in range(n):
-            if self.rows[i][i] != BLANK:
-                raise ValueError(f"simple graph has a non-blank diagonal at vertex {i + 1}")
-            for j in range(n):
-                c = self.rows[i][j]
-                if c not in (BLANK, EDGE):
-                    raise ValueError(f"simple graph entry ({i + 1},{j + 1}) = {c}, expected 0 or 1")
-                if c != self.rows[j][i]:
-                    raise ValueError(f"simple graph is not symmetric at ({i + 1},{j + 1})")
+        m = self.matrix
+        loops = np.flatnonzero(m.diagonal() != BLANK)
+        if loops.size:
+            raise ValueError(f"simple graph has a non-blank diagonal at vertex {loops[0] + 1}")
+        if m.max() > EDGE:
+            i, j = np.argwhere(m > EDGE)[0]
+            raise ValueError(
+                f"simple graph entry ({i + 1},{j + 1}) = {m[i, j]}, expected 0 or 1"
+            )
+        if not np.array_equal(m, m.T):
+            i, j = np.argwhere(m != m.T)[0]
+            raise ValueError(f"simple graph is not symmetric at ({i + 1},{j + 1})")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
         """Build from 1-based endpoint pairs; rejects loops and out-of-range vertices."""
-        m = [[BLANK] * n for _ in range(n)]
+        ends = []
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u},{v}) out of range for order {n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            m[u - 1][v - 1] = EDGE
-            m[v - 1][u - 1] = EDGE
-        return cls(tuple(tuple(r) for r in m))
+            ends.append((u - 1, v - 1))
+        m = np.zeros((n, n), dtype=np.int64)
+        if ends:
+            i, j = np.array(ends).T
+            m[i, j] = EDGE
+            m[j, i] = EDGE
+        return cls(m)
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted list of edges as (u, v) with u < v, 1-based."""
-        n = self.order
         return [
-            (i + 1, j + 1)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if self.rows[i][j] == EDGE
+            (i + 1, j + 1) for i, j in np.argwhere(np.triu(self.matrix, 1) == EDGE).tolist()
         ]
 
     def degree(self, u: int) -> int:
-        return sum(1 for c in self.rows[u - 1] if c == EDGE)
+        return int(np.count_nonzero(self.matrix[u - 1] == EDGE))
 
     def neighbors(self, u: int) -> list[int]:
-        return [j + 1 for j, c in enumerate(self.rows[u - 1]) if c == EDGE]
+        return (np.flatnonzero(self.matrix[u - 1] == EDGE) + 1).tolist()
 
 
 @dataclass(frozen=True)
@@ -197,17 +242,10 @@ def apply_permutation(g: LabeledGraph, p: Permutation) -> LabeledGraph:
     n = g.order
     if p.order != n:
         raise ValueError(f"permutation of order {p.order} applied to graph of order {n}")
-    m = [[0] * n for _ in range(n)]
-    im = p.images
-    for i in range(n):
-        ri = g.rows[i]
-        mi = im[i] - 1
-        for j in range(n):
-            m[mi][im[j] - 1] = ri[j]
-    rows = tuple(tuple(r) for r in m)
-    if isinstance(g, SimpleGraph):
-        return SimpleGraph(rows)
-    return LabeledGraph(rows)
+    im = np.array(p.images) - 1
+    m = np.empty_like(g.matrix)
+    m[im[:, None], im] = g.matrix
+    return (SimpleGraph if isinstance(g, SimpleGraph) else LabeledGraph)(m)
 
 
 def disjoint_union(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
@@ -218,24 +256,18 @@ def disjoint_union(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
     if g.order != h.order:
         raise ValueError(f"disjoint_union needs equal orders, got {g.order} and {h.order}")
     n = g.order
-    m = [[BLANK] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            m[i][j] = g.rows[i][j]
-            m[n + i][n + j] = h.rows[i][j]
-    return SimpleGraph(tuple(tuple(r) for r in m))
+    m = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    m[:n, :n] = g.matrix
+    m[n:, n:] = h.matrix
+    return SimpleGraph(m)
 
 
 def is_connected(g: SimpleGraph) -> bool:
-    n = g.order
-    if n == 1:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j, c in enumerate(g.rows[i]):
-            if c == EDGE and j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == n
+    adj = g.matrix == EDGE
+    seen = np.zeros(g.order, dtype=bool)
+    seen[0] = True
+    frontier = seen
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())

@@ -34,10 +34,12 @@ def node_budget() -> int:
     return int(raw) if raw else DEFAULT_NODE_BUDGET
 
 
-def _profile(g: LabeledGraph, i: int) -> tuple:
-    row = g.rows[i]
-    col = tuple(g.rows[k][i] for k in range(g.order))
-    return (row[i], tuple(sorted(row)), tuple(sorted(col)))
+def _profiles(g: LabeledGraph) -> list[tuple]:
+    """Per vertex: its diagonal color and sorted row and column colors."""
+    return [
+        (row[i], tuple(sorted(row)), tuple(sorted(col)))
+        for i, (row, col) in enumerate(zip(g.rows, zip(*g.rows)))
+    ]
 
 
 class _Search:
@@ -49,8 +51,8 @@ class _Search:
         self.n = g.order
         self.budget = budget
         self.nodes = 0
-        gp = [_profile(g, v) for v in range(self.n)]
-        hp = [_profile(h, i) for i in range(self.n)]
+        gp = _profiles(g)
+        hp = _profiles(h)
         self.candidates = [
             [v for v in range(self.n) if gp[v] == hp[i]] for i in range(self.n)
         ]
@@ -59,42 +61,60 @@ class _Search:
         self.order = sorted(range(self.n), key=lambda i: (len(self.candidates[i]), i))
 
     def run(self, find_all: bool) -> list[Permutation]:
-        if any(not c for c in self.candidates):
-            return []
-        self.found: list[Permutation] = []
-        self.mapping = [-1] * self.n
-        self.used = [False] * self.n
-        self._extend(0, find_all)
-        return self.found
+        """Depth-first search over the candidate lists, on an explicit stack.
 
-    def _extend(self, depth: int, find_all: bool) -> bool:
-        if depth == self.n:
-            self.found.append(Permutation(tuple(v + 1 for v in self.mapping)))
-            return not find_all
-        i = self.order[depth]
-        hi = self.h.rows[i]
-        for v in self.candidates[i]:
-            if self.used[v]:
+        Depth d assigns vertex order[d]; nxt[d] is the position in its
+        candidate list to try next. Every candidate that is not yet used
+        counts as one node against the budget, whether or not it fits.
+        """
+        found: list[Permutation] = []
+        if any(not c for c in self.candidates):
+            return found
+        n = self.n
+        mapping = [-1] * n
+        used = [False] * n
+        nxt = [0] * n
+        depth = 0
+        while depth >= 0:
+            if depth == n:
+                found.append(Permutation(tuple(v + 1 for v in mapping)))
+                if not find_all:
+                    return found
+                depth -= 1
+                used[mapping[self.order[depth]]] = False
                 continue
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise BudgetExceeded(self.budget)
-            gv = self.g.rows[v]
-            ok = True
-            for j in self.order[:depth]:
-                w = self.mapping[j]
-                if gv[w] != hi[j] or self.g.rows[w][v] != self.h.rows[j][i]:
-                    ok = False
+            i = self.order[depth]
+            cands = self.candidates[i]
+            while nxt[depth] < len(cands):
+                v = cands[nxt[depth]]
+                nxt[depth] += 1
+                if used[v]:
+                    continue
+                self.nodes += 1
+                if self.nodes > self.budget:
+                    raise BudgetExceeded(self.budget)
+                if self._fits(i, v, mapping, depth):
+                    mapping[i] = v
+                    used[v] = True
+                    depth += 1
+                    if depth < n:
+                        nxt[depth] = 0
                     break
-            if not ok:
-                continue
-            self.mapping[i] = v
-            self.used[v] = True
-            if self._extend(depth + 1, find_all):
-                return True
-            self.mapping[i] = -1
-            self.used[v] = False
-        return False
+            else:  # candidates exhausted: backtrack
+                depth -= 1
+                if depth >= 0:
+                    used[mapping[self.order[depth]]] = False
+        return found
+
+    def _fits(self, i: int, v: int, mapping: list[int], depth: int) -> bool:
+        """Whether i -> v agrees with the assignments of the first depth vertices."""
+        g_rows, h_rows = self.g.rows, self.h.rows
+        gv, hi = g_rows[v], h_rows[i]
+        for j in self.order[:depth]:
+            w = mapping[j]
+            if gv[w] != hi[j] or g_rows[w][v] != h_rows[j][i]:
+                return False
+        return True
 
 
 def find_isomorphism(

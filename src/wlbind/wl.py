@@ -72,7 +72,8 @@ class StableGraph:
         return self.graph.order
 
     def dim(self) -> int:
-        return self.graph.dim()
+        """Distinct colors of the graph: the trace's last dimension, not a rescan."""
+        return int(self.trace.dims[-1])
 
 
 def recognize_vertices(g: LabeledGraph) -> LabeledGraph:
@@ -119,11 +120,12 @@ def evs(m: SignatureMatrix) -> LabeledGraph:
 
 
 def _to_array(g: LabeledGraph) -> np.ndarray:
-    return np.array(g.rows, dtype=np.int64)
+    """The graph's own read-only matrix: every engine step writes to fresh arrays."""
+    return g.matrix
 
 
 def _from_array(m: np.ndarray) -> LabeledGraph:
-    return LabeledGraph(tuple(tuple(r) for r in m.tolist()))
+    return LabeledGraph(m)
 
 
 def stabilize(g: LabeledGraph) -> StableGraph:
@@ -172,8 +174,8 @@ def stabilize(g: LabeledGraph) -> StableGraph:
 
 def _cells_from_diagonal(g: LabeledGraph) -> Partition:
     groups: dict[int, list[int]] = {}
-    for i in range(g.order):
-        groups.setdefault(g.rows[i][i], []).append(i + 1)
+    for v, c in enumerate(g.matrix.diagonal().tolist(), 1):
+        groups.setdefault(c, []).append(v)
     return Partition.from_cells(groups.values())
 
 
@@ -208,7 +210,7 @@ def certify_stable(g: LabeledGraph) -> StableGraph:
                 raise ValueError("transpose colors are not a function of forward colors")
     if len(set(fwd.values())) != len(fwd):
         raise ValueError("transpose color map is not a bijection")
-    trace = StabilizationTrace(rounds=0, dims=(g.dim(),))
+    trace = StabilizationTrace(rounds=0, dims=(len(diag) + len(off),))
     return StableGraph(graph=g, cells=_cells_from_diagonal(g), trace=trace)
 
 
@@ -250,10 +252,9 @@ def individualize(x: StableGraph, u: int) -> LabeledGraph:
     n = x.order
     if not 1 <= u <= n:
         raise ValueError(f"vertex {u} out of range for order {n}")
-    fresh = max(max(r) for r in x.graph.rows) + 1
-    rows = [list(r) for r in x.graph.rows]
-    rows[u - 1][u - 1] = fresh
-    return LabeledGraph(tuple(tuple(r) for r in rows))
+    m = x.graph.matrix.copy()
+    m[u - 1, u - 1] = m.max() + 1
+    return LabeledGraph(m)
 
 
 def restrict_to_cells(x: StableGraph, keep: Iterable[int]) -> StableGraph:
@@ -269,11 +270,8 @@ def restrict_to_cells(x: StableGraph, keep: Iterable[int]) -> StableGraph:
     for i in idxs:
         if not 0 <= i < ncells:
             raise ValueError(f"cell index {i} out of range (have {ncells} cells)")
-    vertices = sorted(v for i in idxs for v in x.cells.cells[i])
-    rows = tuple(
-        tuple(x.graph.rows[u - 1][v - 1] for v in vertices) for u in vertices
-    )
-    return certify_stable(LabeledGraph(rows))
+    vertices = np.array(sorted(v - 1 for i in idxs for v in x.cells.cells[i]))
+    return certify_stable(LabeledGraph(x.graph.matrix[vertices[:, None], vertices]))
 
 
 def _row_col_multisets(g: LabeledGraph, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from wlbind import LabeledGraph, Permutation, SimpleGraph, apply_permutation
+from wlbind import BLANK, EDGE, LabeledGraph, Permutation, SimpleGraph, apply_permutation
 from wlbind.harness import enumerate_graphs
 
 
@@ -106,3 +106,125 @@ def assert_stable_laws(g: LabeledGraph) -> None:
     for u in range(1, n + 1):
         for v in range(1, n + 1):
             assert (g.cell(u, u) == g.cell(v, v)) == (sigs[u] == sigs[v])
+
+
+# Double-loop references for the array-backed constructors. Each returns
+# the matrix as a tuple of row tuples, plus what else the original returns.
+
+
+def ref_disjoint_union(g: SimpleGraph, h: SimpleGraph) -> tuple[tuple[int, ...], ...]:
+    n = g.order
+    m = [[BLANK] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            m[i][j] = g.rows[i][j]
+            m[n + i][n + j] = h.rows[i][j]
+    return tuple(tuple(r) for r in m)
+
+
+def ref_bind(g: SimpleGraph) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, int], int]]:
+    """Binding matrix and pair index: binders after the basic vertices, pairs
+    in lexicographic order."""
+    n = g.order
+    n1 = n * (n + 1) // 2
+    m = [[BLANK] * n1 for _ in range(n1)]
+    for i in range(n):
+        for j in range(n):
+            m[i][j] = g.rows[i][j]
+    pair_index = {}
+    p = n + 1
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            pair_index[(u, v)] = p
+            for w in (u, v):
+                m[w - 1][p - 1] = EDGE
+                m[p - 1][w - 1] = EDGE
+            p += 1
+    return tuple(tuple(r) for r in m), pair_index
+
+
+def ref_apply_permutation(g: LabeledGraph, p: Permutation) -> tuple[tuple[int, ...], ...]:
+    n = g.order
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            m[p.images[i] - 1][p.images[j] - 1] = g.rows[i][j]
+    return tuple(tuple(r) for r in m)
+
+
+def ref_phi_graph(b, x) -> tuple[tuple[int, ...], ...]:
+    """Stable colors on the diagonal and on binding edges, blank elsewhere."""
+    n = b.basic_count
+    rows = []
+    for i in range(b.order):
+        row = []
+        for j in range(b.order):
+            if i != j and b.graph.rows[i][j] == BLANK:
+                row.append(BLANK)
+            elif i < n and j < n and b.graph.rows[i][j] == EDGE:
+                row.append(BLANK)
+            else:
+                row.append(x.graph.rows[i][j])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def ref_individualize(x, u: int) -> tuple[tuple[int, ...], ...]:
+    fresh = max(max(r) for r in x.graph.rows) + 1
+    rows = [list(r) for r in x.graph.rows]
+    rows[u - 1][u - 1] = fresh
+    return tuple(tuple(r) for r in rows)
+
+
+def ref_restrict(x, keep) -> tuple[tuple[int, ...], ...]:
+    vertices = sorted(v for i in set(keep) for v in x.cells.cells[i])
+    return tuple(tuple(x.graph.rows[u - 1][v - 1] for v in vertices) for u in vertices)
+
+
+def ref_cells(g: LabeledGraph) -> tuple[tuple[int, ...], ...]:
+    """Vertices grouped by diagonal color, ordered by smallest member."""
+    groups: dict[int, list[int]] = {}
+    for i in range(g.order):
+        groups.setdefault(g.rows[i][i], []).append(i + 1)
+    return tuple(sorted(tuple(c) for c in groups.values()))
+
+
+# A bit-by-bit graph6 codec for simple graphs of order < 258048.
+
+
+def ref_encode_graph6(g: SimpleGraph) -> bytes:
+    n = g.order
+    out = bytearray()
+    if n <= 62:
+        out.append(n + 63)
+    else:
+        out += bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+    bits = [1 if g.rows[i][j] == EDGE else 0 for j in range(1, n) for i in range(j)]
+    while len(bits) % 6:
+        bits.append(0)
+    for k in range(0, len(bits), 6):
+        v = 0
+        for b in bits[k:k + 6]:
+            v = (v << 1) | b
+        out.append(v + 63)
+    return bytes(out)
+
+
+def ref_decode_graph6(data: bytes) -> tuple[tuple[int, ...], ...]:
+    """Adjacency rows of a well-formed graph6 record without header."""
+    if data[0] != 126:
+        n, pos = data[0] - 63, 1
+    else:
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        pos = 4
+    bits = []
+    for b in data[pos:]:
+        bits.extend(((b - 63) >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
+    m = [[0] * n for _ in range(n)]
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[k]:
+                m[i][j] = m[j][i] = EDGE
+            k += 1
+    return tuple(tuple(r) for r in m)

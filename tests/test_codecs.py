@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wlbind import (
     AdjlistError,
@@ -11,7 +13,15 @@ from wlbind import (
     parse_graph6,
 )
 
-from helpers import all_graphs, k, mask_to_graph, order10_graph, path
+from helpers import (
+    all_graphs,
+    k,
+    mask_to_graph,
+    order10_graph,
+    path,
+    ref_decode_graph6,
+    ref_encode_graph6,
+)
 
 
 def test_graph6_known_strings():
@@ -32,6 +42,34 @@ def test_graph6_roundtrip_exhaustive_small():
     for n in range(1, 6):
         for g in all_graphs(n):
             assert parse_graph6(encode_graph6(g)) == g
+
+
+def _assert_graph6_matches_reference(g: SimpleGraph) -> None:
+    data = encode_graph6(g)
+    assert data == ref_encode_graph6(g)
+    assert parse_graph6(data).rows == ref_decode_graph6(data) == g.rows
+
+
+def test_graph6_matches_bitwise_reference_exhaustive():
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            _assert_graph6_matches_reference(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(7, 62), st.data())
+def test_graph6_matches_bitwise_reference_random(n, data):
+    e = n * (n - 1) // 2
+    _assert_graph6_matches_reference(mask_to_graph(n, data.draw(st.integers(0, (1 << e) - 1))))
+
+
+def test_graph6_matches_bitwise_reference_four_byte_header():
+    rng = random.Random(100)
+    g = SimpleGraph.from_edges(
+        100, [(u, v) for u in range(1, 101) for v in range(u + 1, 101) if rng.random() < 0.3]
+    )
+    assert encode_graph6(g)[0] == 126
+    _assert_graph6_matches_reference(g)
 
 
 def test_graph6_long_order_field():

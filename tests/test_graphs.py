@@ -1,5 +1,8 @@
+import random
+
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wlbind import (
     LabeledGraph,
@@ -7,11 +10,30 @@ from wlbind import (
     Permutation,
     SimpleGraph,
     apply_permutation,
+    bind,
     disjoint_union,
+    individualize,
     is_connected,
+    phi_graph,
+    restrict_to_cells,
+    stabilize,
 )
+from wlbind.harness import random_connected_graph
 
-from helpers import all_graphs, k, mask_to_graph, path, star
+from helpers import (
+    all_graphs,
+    k,
+    mask_to_graph,
+    path,
+    ref_apply_permutation,
+    ref_bind,
+    ref_cells,
+    ref_disjoint_union,
+    ref_individualize,
+    ref_phi_graph,
+    ref_restrict,
+    star,
+)
 
 
 @st.composite
@@ -152,3 +174,106 @@ def test_exhaustive_order3_census():
     graphs = list(all_graphs(3))
     assert len(graphs) == 8
     assert sum(1 for g in graphs if is_connected(g)) == 4  # P3 x3 labelings + K3
+
+
+# value semantics of the array-backed graphs
+
+
+def test_matrix_is_read_only():
+    g = k(3)
+    with pytest.raises(ValueError):
+        g.matrix[0, 1] = 0
+
+
+def test_graph_copies_its_input():
+    a = np.array([[0, 1], [1, 0]])
+    g = SimpleGraph(a)
+    a[0, 1] = 0
+    assert g.cell(1, 2) == 1
+    f = LabeledGraph(np.asfortranarray([[0, 2], [3, 1]]))
+    assert f.matrix.flags.c_contiguous and f.rows == ((0, 2), (3, 1))
+
+
+def test_equality_and_hash_agree():
+    a = LabeledGraph(((0, 2), (3, 1)))
+    b = LabeledGraph(np.array([[0, 2], [3, 1]], dtype=np.uint8))
+    c = LabeledGraph(((0, 2), (3, 2)))
+    assert a == b and hash(a) == hash(b)
+    assert a != c
+    assert len({a, b, c}) == 2
+
+
+def test_simple_and_labeled_graphs_never_equal():
+    assert SimpleGraph(((0, 1), (1, 0))) != LabeledGraph(((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("bad", [
+    [[0, 1.5], [1.5, 0]],  # a float is rejected, not truncated
+    np.array([[0, 1], [1, 0]], dtype=object),
+    [[0, 2**63], [2**63, 0]],
+    np.array([[0, 2**63], [2**63, 0]], dtype=np.uint64),
+    [[0, 1j], [1j, 0]],
+    ((0, 1), (1,)),
+    (),
+    [[]],
+    [[0, 1, 0], [1, 0, 1]],
+])
+def test_bad_input_raises_value_error(bad):
+    with pytest.raises(ValueError):
+        LabeledGraph(bad)
+
+
+def test_rows_round_trip_to_python_ints():
+    rows = ((0, 2, 7), (2, 0, 1), (7, 1, 5))
+    g = LabeledGraph(rows)
+    assert g.rows == rows
+    assert all(type(c) is int for r in g.rows for c in r)
+    assert LabeledGraph(g.rows) == g
+
+
+# the array constructors against their double-loop references
+
+
+def _check_against_loops(g: SimpleGraph, h: SimpleGraph, p: Permutation) -> None:
+    assert disjoint_union(g, h).rows == ref_disjoint_union(g, h)
+    assert apply_permutation(g, p).rows == ref_apply_permutation(g, p)
+    if g.order < 2:
+        return
+    b = bind(g)
+    rows, pair_index = ref_bind(g)
+    assert b.graph.rows == rows and b.pair_index == pair_index
+    x = stabilize(b.graph)
+    assert x.cells.cells == ref_cells(x.graph)
+    assert phi_graph(b, x).rows == ref_phi_graph(b, x)
+    assert individualize(x, g.order).rows == ref_individualize(x, g.order)
+    keep = range(0, len(x.cells.cells), 2)
+    assert restrict_to_cells(x, keep).graph.rows == ref_restrict(x, keep)
+
+
+def test_constructors_match_loops_on_every_small_graph():
+    for n in range(1, 6):
+        reverse = Permutation(tuple(range(n, 0, -1)))
+        graphs = list(all_graphs(n))
+        for g, h in zip(graphs, reversed(graphs)):
+            _check_against_loops(g, h, reverse)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_constructors_match_loops_on_drawn_graphs(data):
+    g = data.draw(simple_graphs(1, 12))
+    h = data.draw(simple_graphs(g.order, g.order))
+    p = Permutation(tuple(data.draw(st.permutations(list(range(1, g.order + 1))))))
+    _check_against_loops(g, h, p)
+
+
+def test_constructors_match_loops_on_unions():
+    rng = random.Random(6)
+    for n in range(6, 11):
+        g = random_connected_graph(n, rng)
+        images = list(range(1, n + 1))
+        rng.shuffle(images)
+        planted = apply_permutation(g, Permutation(tuple(images)))
+        for h in (planted, random_connected_graph(n, rng)):
+            u = disjoint_union(g, h)
+            _check_against_loops(u, disjoint_union(h, g), Permutation.identity(2 * n))

@@ -1,10 +1,13 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wlbind import (
     BudgetExceeded,
+    LabeledGraph,
     Permutation,
     apply_permutation,
     automorphism_group,
@@ -13,6 +16,7 @@ from wlbind import (
     orbit_partition,
     stabilize,
 )
+from wlbind.oracle import _Search
 
 from helpers import (
     brute_force_aut,
@@ -153,3 +157,57 @@ def test_budget_env_override(monkeypatch):
     assert node_budget() == 123
     monkeypatch.delenv("WLBIND_ORACLE_BUDGET")
     assert node_budget() == 10_000_000
+
+
+def _recursive_search(s: _Search, find_all: bool) -> tuple[list[tuple[int, ...]], int]:
+    """The search as plain recursion: found image tuples and nodes visited."""
+    if any(not c for c in s.candidates):
+        return [], 0
+    found, mapping, used, nodes = [], [-1] * s.n, [False] * s.n, 0
+
+    def extend(depth):
+        nonlocal nodes
+        if depth == s.n:
+            found.append(tuple(v + 1 for v in mapping))
+            return not find_all
+        i = s.order[depth]
+        for v in s.candidates[i]:
+            if used[v]:
+                continue
+            nodes += 1
+            if any(s.g.rows[v][mapping[j]] != s.h.rows[i][j]
+                   or s.g.rows[mapping[j]][v] != s.h.rows[j][i] for j in s.order[:depth]):
+                continue
+            mapping[i], used[v] = v, True
+            if extend(depth + 1):
+                return True
+            mapping[i], used[v] = -1, False
+        return False
+
+    extend(0)
+    return found, nodes
+
+
+def test_search_visits_nodes_in_recursive_order():
+    for n in range(1, 6):
+        for g in connected_classes(n):
+            for b in ([bind(g).graph] if n >= 2 else []) + [g]:
+                h = apply_permutation(b, Permutation(tuple(range(b.order, 0, -1))))
+                for find_all in (False, True):
+                    s = _Search(b, h, 10**9)
+                    found = [p.images for p in s.run(find_all)]
+                    assert (found, s.nodes) == _recursive_search(_Search(b, h, 10**9), find_all)
+
+
+def test_oracle_handles_order_beyond_recursion_limit():
+    rng = np.random.default_rng(1500)
+    n = 1500
+    m = rng.integers(0, 4, size=(n, n))
+    m[np.arange(n), np.arange(n)] = 10 + np.arange(n)  # distinct vertex colors
+    h = LabeledGraph(m)
+    images = list(range(1, n + 1))
+    random.Random(1500).shuffle(images)
+    planted = Permutation(tuple(images))
+    g = apply_permutation(h, planted)
+    assert find_isomorphism(g, h) == planted
+    assert automorphism_group(g) == [Permutation.identity(n)]
