@@ -13,21 +13,36 @@ The hash is two float64 matrix products of integer color weights below
 2^20, so it runs on BLAS and every sum in it is an exact integer up to
 order MAX_ORDER, whatever the summation order.
 
-The exact check runs when a round leaves the class count unchanged. A
-partition with no class of two entries passes at once. Otherwise the check
-looks for a swap witness: the vertex involution sigma that swaps the two
-vertices of every two-vertex diagonal class of m and fixes the rest, which
-is taken only when no diagonal class is larger. If both m and the
-partition are sigma-invariant, entry e = (i, j) and its image
-sigma(e) = (sigma(i), sigma(j)) have equal signatures (re-index k by
-sigma(k)) and share a class, so each class is checked on its members with
-e <= sigma(e) alone. The two invariance checks carry the whole argument,
-however sigma was guessed; when one fails, every member is checked. The
-checked members of a class are compared, by sorted signature vector, with
-the member before them, in entry blocks of bounded size, and a class that
-fails is split over all of its members by exact signature order. All
-numbering derives from matrix content alone, which is what makes
-stabilization permutation-equivariant and reproducible across runs.
+Both the fixpoint certificate and the exact check rest on one orbit
+argument. Let gamma be a vertex permutation with m[gamma][:, gamma] == m.
+Re-indexing k by gamma(k) shows that entry e = (i, j) and its image
+gamma(e) = (gamma(i), gamma(j)) have equal signatures, and they share
+m's color; so do all entries of one orbit of the group such permutations
+generate. The exact refinement of m therefore never separates two
+entries of one orbit: its classes are unions of orbits. When m's classes
+are already single orbits, the refinement cannot split any of them, and m
+is a fixpoint with no round run (orbit_certificate); stabilize still
+counts the round it skips, since a run that executed it would have
+confirmed the dimension there, so rounds and dims do not depend on
+whether a fixpoint was certified or checked. When the classes of a
+partition are unions of orbits (labels is gamma-invariant too), a class
+holds one signature exactly when one member of each of its orbits does,
+so the check compares those members alone (_entries_to_check).
+
+Generators are only ever candidates, kept when the invariance checks hold,
+however they were guessed, so a wrong one can cost time but never change
+an answer. Two sources propose them: the swap sigma that exchanges the two
+vertices of every two-vertex diagonal class (when no class is larger),
+the only generator a certificate uses, and, where the full check would
+span more than one block, a budgeted individualization search on m's
+diagonal classes (_search_witness). Each orbit is named by its smallest
+member, found by vectorized label lowering and pointer jumping
+(_orbit_labels). The checked members of a class are
+compared, by sorted signature vector, with the member before them, in
+entry blocks of bounded size, and a class that fails is split over all of
+its members by exact signature order. All numbering derives from matrix
+content alone, which is what makes stabilization permutation-equivariant
+and reproducible across runs.
 """
 from __future__ import annotations
 
@@ -113,13 +128,14 @@ def _dense_labels(order: np.ndarray, change: np.ndarray) -> tuple[np.ndarray, in
     return labels, int(ranks[-1]) + 1
 
 
-def _lexsort_rank(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, int]:
-    """Dense labels numbering the distinct (major, minor) pairs in ascending order."""
-    order = np.lexsort((minor, major))
-    a, b = major[order], minor[order]
-    change = np.empty(a.size, dtype=bool)
+def _lexsort_rank(*keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense labels numbering the distinct key tuples (first key major) in ascending order."""
+    order = np.lexsort(keys[::-1])
+    change = np.zeros(order.size, dtype=bool)
     change[0] = True
-    change[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    for key in keys:
+        k = key[order]
+        change[1:] |= k[1:] != k[:-1]
     return _dense_labels(order, change)
 
 
@@ -190,54 +206,212 @@ def _swap_witness(m: np.ndarray) -> np.ndarray | None:
     return sigma
 
 
-def _entries_to_check(m: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Flat indices whose signatures decide whether every class is pure.
+def _preserves(gamma: np.ndarray, m: np.ndarray) -> bool:
+    """Whether m[gamma(i), gamma(j)] == m[i, j] for every entry.
 
-    Without a witness these are the members of every class of two or more.
-    With a swap witness sigma under which m and labels are both invariant,
-    sig(e) = sig(sigma(e)) and both lie in one class, so a class holds one
-    signature exactly when its members with e <= sigma(e) do; only classes
-    with two or more such members are returned.
+    Rows are compared in blocks that grow fourfold from 8, so a wrong
+    candidate, which seldom agrees on many rows, costs little.
     """
-    flat = labels.ravel()
+    start, size = 0, 8
+    while start < gamma.size:
+        rows = slice(start, start + size)
+        if not np.array_equal(m[np.ix_(gamma[rows], gamma)], m[rows]):
+            return False
+        start, size = start + size, 4 * size
+    return True
+
+
+def orbit_certificate(m: np.ndarray, dim: int) -> int | None:
+    """Generators certifying that m (colors dense in [0, dim)) is a fixpoint, or None.
+
+    0 when m is discrete, 1 when its classes are the entry orbits of the
+    swap sigma: m is sigma-invariant, so every class is a union of orbits,
+    and the class count equals the orbit count (N^2 + f^2) / 2, where f is
+    the number of vertices sigma fixes, so every class is one orbit. The
+    counts are compared before the invariance check, which is the only
+    O(N^2) step.
+    """
+    n = m.shape[0]
+    if dim == n * n:
+        return 0
+    sizes = np.bincount(m.diagonal())
+    if sizes.max() != 2:
+        return None
+    fixed = int(np.count_nonzero(sizes == 1))
+    if 2 * dim != n * n + fixed * fixed:
+        return None
     sigma = _swap_witness(m)
-    if (
-        sigma is None
-        or not np.array_equal(m[np.ix_(sigma, sigma)], m)
-        or not np.array_equal(labels[np.ix_(sigma, sigma)], labels)
-    ):
-        return np.flatnonzero((sizes > 1)[flat])
-    # e = (i, j) <= sigma(e) in flat (row-major) order: i < sigma(i), or
-    # i fixed and j <= sigma(j); built from boolean rows and columns only
-    idx = np.arange(sigma.size)
-    rep = ((idx < sigma)[:, None] | ((idx == sigma)[:, None] & (idx <= sigma)[None, :])).ravel()
-    many = np.bincount(flat[rep], minlength=sizes.size) > 1
-    return np.flatnonzero(rep & many[flat])
+    return 1 if sigma is not None and _preserves(sigma, m) else None
+
+
+def _orbit_labels(perms: list[np.ndarray], n: int, entries: bool = False) -> np.ndarray:
+    """The smallest member of each point's orbit under the group perms generate.
+
+    The points are the n vertices, or with entries the n * n flat entry
+    indices, which a vertex permutation p moves by (i, j) -> (p(i), p(j)).
+    Every pass lowers each point's label to that of its image under each
+    perm, then jumps every label to its own label until that is stable.
+    A label is always a member of the point's orbit and never above the
+    point; at the fixpoint label[x] <= label[p(x)] for every perm, so
+    labels are constant along each cycle of every perm, hence on each
+    orbit, where they must be its smallest member.
+    """
+    label = np.arange(n * n if entries else n)
+    while True:
+        lowered = label.copy()
+        for p in perms:
+            image = (p[:, None] * n + p).ravel() if entries else p
+            np.minimum(lowered, lowered[image], out=lowered)
+        while True:
+            jumped = lowered[lowered]
+            if np.array_equal(jumped, lowered):
+                break
+            lowered = jumped
+        if np.array_equal(lowered, label):
+            return label
+        label = lowered
+
+
+def _split(cells: np.ndarray, m: np.ndarray, v: int) -> np.ndarray:
+    """cells refined by each vertex's colors to and from v, with v alone and
+    first in its cell; numbered by content, so automorphisms commute with it."""
+    row = m[v].copy()
+    col = m[:, v].copy()
+    row[v] = col[v] = -1
+    return _lexsort_rank(cells, row, col)[0]
+
+
+def _search_witness(m: np.ndarray, budget: int) -> list[np.ndarray]:
+    """Candidate automorphisms of m from individualization on its diagonal classes.
+
+    The first path starts from the diagonal classes, and at each level
+    individualizes the smallest vertex of the first cell with two or more
+    vertices (splitting every cell by the colors to and from it) until
+    every cell is a singleton: its leaf. Then, from the deepest level up,
+    every other vertex w of that level's cell is individualized in its
+    place, and the tree below is searched depth first, trying each
+    level's cell in ascending vertex order and leaving a node whose cell
+    sizes differ from the first path's, until a leaf maps the first leaf
+    by an automorphism: vertex x goes to the vertex with x's cell number.
+    A w already in the orbit of the first path's vertex under the
+    candidates found so far is skipped, since they all fix the path above
+    it. A candidate is kept only if it preserves m. At most budget splits
+    are made.
+    """
+    n = m.shape[0]
+    cells = _lexsort_rank(m.diagonal())[0]
+    # the first path, per level: the cells before its split, the number of
+    # the cell it splits, that cell's members and the cell sizes after it
+    nodes, targets, members, sizes = [], [], [], []
+    while int(cells.max()) + 1 < n:
+        budget -= 1
+        if budget < 0:
+            return []
+        nodes.append(cells)
+        targets.append(int(np.argmax(np.bincount(cells) > 1)))
+        members.append(np.flatnonzero(cells == targets[-1]))
+        cells = _split(cells, m, members[-1][0])
+        sizes.append(np.bincount(cells))
+    leaf = cells
+    found: list[np.ndarray] = []
+    orbit = np.arange(n)
+    for k in range(len(nodes) - 1, -1, -1):
+        first = members[k][0]
+        for w in members[k][1:].tolist():
+            if orbit[w] == orbit[first]:
+                continue
+            stack = [(nodes[k], k, [w])]  # (node, its level, untried vertices, smallest last)
+            while stack and budget > 0:
+                cells, level, untried = stack[-1]
+                if not untried:
+                    stack.pop()
+                    continue
+                budget -= 1
+                child = _split(cells, m, untried.pop())
+                if not np.array_equal(np.bincount(child), sizes[level]):
+                    continue
+                if level + 1 < len(nodes):
+                    below = np.flatnonzero(child == targets[level + 1])
+                    stack.append((child, level + 1, below[::-1].tolist()))
+                    continue
+                place = np.empty(n, dtype=np.int64)
+                place[child] = np.arange(n)
+                gamma = place[leaf]
+                if _preserves(gamma, m):
+                    found.append(gamma)
+                    orbit = _orbit_labels(found, n)
+                    break
+            if budget <= 0:
+                return found
+    return found
+
+
+def _entries_to_check(
+    m: np.ndarray, labels: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Flat indices whose signatures decide whether every class is pure, and
+    the number of verified generators that pruned them.
+
+    Without a generator these are the members of every class of two or
+    more. Candidates are the swap sigma and, when the full check would
+    span more than one block, the individualization search, given a
+    budget of one split per 32 entries of the full check; each is kept
+    only if m and labels are both invariant under it. Then every class is
+    a union of entry orbits of the kept generators, so it holds one
+    signature exactly when the smallest members of its orbits do; only
+    classes with two or more such members are returned.
+    """
+    n = m.shape[0]
+    flat = labels.ravel()
+    shared = (sizes > 1)[flat]
+    candidates = []
+    sigma = _swap_witness(m)
+    if sigma is not None:
+        candidates.append(sigma)
+    full = int(np.count_nonzero(shared))
+    if full * n > _BLOCK:
+        candidates += _search_witness(m, full // 32)
+    both = m * np.int64(sizes.size) + labels  # invariant exactly when m and labels are
+    kept = [g for g in candidates if _preserves(g, both)]
+    if not kept:
+        return np.flatnonzero(shared), 0
+    first = _orbit_labels(kept, n, entries=True) == np.arange(n * n)
+    many = np.bincount(flat[first], minlength=sizes.size) > 1
+    return np.flatnonzero(first & many[flat]), len(kept)
 
 
 def _verify_streaming(
-    m: np.ndarray, dim: int, labels: np.ndarray, count: int
+    m: np.ndarray,
+    dim: int,
+    labels: np.ndarray,
+    count: int,
+    witnessed: list[int] | None = None,
 ) -> tuple[np.ndarray, int, int]:
     """Exact check of a partition of m's entries by pair signature.
 
     m: (n, n) with colors dense in [0, dim); labels: (n, n) classes dense in
     [0, count). A partition with no class of two entries passes before any
     sort. Otherwise the entries that decide purity (all members of the
-    shared classes, or under a verified swap witness one member of each
-    sigma-pair, see _entries_to_check) are grouped by class, and each is
+    shared classes, or one member of each orbit of the verified
+    generators, see _entries_to_check) are grouped by class, and each is
     compared with the checked member before it in its class, so a class
     holds one signature exactly when every comparison is equal. Returns
     (labels, count, checked): labels and count unchanged when every class
     passes, else the partition refined by exact signature (a failing class
     is split over all of its members into sub-classes numbered by signature
     order, with one class's signatures materialized at a time); checked
-    counts the entries whose signatures the comparison computed.
+    counts the entries whose signatures the comparison computed. The
+    number of generators the check used is appended to witnessed, if given.
     """
     flat = labels.ravel()
     sizes = np.bincount(flat, minlength=count)
     if sizes.max() < 2:  # discrete: nothing to compare
+        if witnessed is not None:
+            witnessed.append(0)
         return labels, count, 0
-    check = _entries_to_check(m, labels, sizes)
+    check, generators = _entries_to_check(m, labels, sizes)
+    if witnessed is not None:
+        witnessed.append(generators)
     check = check[np.argsort(flat[check], kind="stable")]  # grouped by class
 
     bad = np.zeros(count, dtype=bool)
@@ -268,6 +442,14 @@ def compact(m: np.ndarray) -> tuple[np.ndarray, int]:
     return inverse.reshape(m.shape).astype(np.int64), int(uniq.shape[0])
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values in ascending order, by one sort."""
+    ordered = np.sort(values)
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 def recognize(m: np.ndarray) -> tuple[np.ndarray, int]:
     """Move diagonal colors into fresh classes disjoint from off-diagonal ones.
 
@@ -275,11 +457,10 @@ def recognize(m: np.ndarray) -> tuple[np.ndarray, int]:
     distinct diagonal values become classes A, A+1, ... in ascending order.
     """
     n = m.shape[0]
-    diag = m.diagonal().copy()
-    off_mask = ~np.eye(n, dtype=bool)
-    off_vals = np.unique(m[off_mask]) if n > 1 else np.empty(0, dtype=m.dtype)
+    diag = m.diagonal()
+    off_vals = _distinct(m[~np.eye(n, dtype=bool)])
     out = np.searchsorted(off_vals, m).astype(np.int64)
     a = int(off_vals.shape[0])
-    d_uniq, d_inv = np.unique(diag, return_inverse=True)
-    out[np.arange(n), np.arange(n)] = a + d_inv
-    return out, a + int(d_uniq.shape[0])
+    diag_vals = _distinct(diag)
+    out[np.arange(n), np.arange(n)] = a + np.searchsorted(diag_vals, diag)
+    return out, a + int(diag_vals.shape[0])

@@ -7,7 +7,7 @@ from typing import Literal
 import numpy as np
 
 from ._refine import check_order
-from .graphs import BLANK, EDGE, LabeledGraph, Partition, Permutation, SimpleGraph, apply_permutation
+from .graphs import BLANK, EDGE, LabeledGraph, Partition, Permutation, SimpleGraph
 from .wl import StableGraph
 
 CellClass = Literal["basic", "binding", "mixed"]
@@ -103,20 +103,23 @@ def extend_automorphism(b: BindingGraph, s: Permutation) -> Permutation:
     """Lift a basic-graph automorphism to the whole binding graph.
 
     Basic vertices move by s; the binder of {u, v} moves to the binder of
-    {u^s, v^s}.
+    {u^s, v^s}, found by its rank in the lexicographic pair order that
+    bind places binders in.
     """
     n = b.basic_count
     if s.order != n:
         raise ValueError(f"permutation order {s.order} does not match basic count {n}")
-    basic = b.basic_graph()
-    if apply_permutation(basic, s) != basic:
+    im = np.array(s.images) - 1
+    basic = b.graph.matrix[:n, :n]
+    if not np.array_equal(basic[np.ix_(im, im)], basic):
         raise ValueError("permutation is not an automorphism of the basic graph")
-    images = [0] * b.order
-    for w in range(1, n + 1):
-        images[w - 1] = s.apply(w)
-    for (u, v), p in b.pair_index.items():
-        images[p - 1] = binding_vertex(b, s.apply(u), s.apply(v))
-    return Permutation(tuple(images))
+    # binder n + r binds the r-th pair u < v in lexicographic order, and
+    # u * (2n - u - 1) / 2 pairs have a first vertex below u
+    u = np.repeat(np.arange(n), np.arange(n - 1, -1, -1))
+    v = np.arange(u.size) - u * (2 * n - u - 1) // 2 + u + 1
+    lo, hi = np.minimum(im[u], im[v]), np.maximum(im[u], im[v])
+    rank = lo * (2 * n - lo - 1) // 2 + hi - lo - 1
+    return Permutation(tuple((np.concatenate((im, n + rank)) + 1).tolist()))
 
 
 def classify_cells(b: BindingGraph, p: Partition) -> list[CellClass]:

@@ -46,17 +46,23 @@ class SignatureMatrix:
 class StabilizationTrace:
     """Round count and the dimension after recoloring and after each round.
 
-    rounds counts executed refinement rounds including the final confirming
-    one whose dimension repeats; dims[0] is the dimension right after the
-    diagonal recoloring. checked_entries counts the entries whose exact
-    signature the fixpoint checks compared: 0 at a discrete fixpoint, and at
-    most one member of each sigma-pair when a swap witness prunes the check.
+    rounds counts refinement rounds including the final confirming one
+    whose dimension repeats; dims[0] is the dimension right after the
+    diagonal recoloring. certified is true when the fixpoint was confirmed
+    by entry orbits of verified automorphisms, in which case the
+    confirming round is counted but not run. generators is the number of
+    verified generators the last certificate or exact check used.
+    checked_entries counts the entries whose exact signature the fixpoint
+    checks compared: 0 when certified or at a discrete fixpoint, and at
+    most one member of each entry orbit of the verified generators.
     """
 
     rounds: int
     dims: tuple[int, ...]
     exceeded_iteration_hint: bool = False
     checked_entries: int = 0
+    certified: bool = False
+    generators: int = 0
 
 
 @dataclass(frozen=True)
@@ -131,15 +137,20 @@ def _from_array(m: np.ndarray) -> LabeledGraph:
 def stabilize(g: LabeledGraph) -> StableGraph:
     """Run the refinement to its fixpoint and certify the result.
 
-    Stops at the first round whose dimension matches the previous one (the
-    confirming round is executed and counted). Rounds group entries by
-    hash; a round that adds no class is checked exactly, and a collision
-    it finds is split and counted as that round's refinement, so the
-    fixpoint is the exact one. Internal colors are assigned
-    canonically from matrix content, so the output is bitwise invariant
-    under vertex relabeling: stabilizing a permuted graph yields the
-    permuted stabilization. Orders above the pair hash's exactness bound
-    are rejected before anything is allocated.
+    Stops at the first round whose dimension matches the previous one.
+    Rounds group entries by hash; a round that adds no class is checked
+    exactly, and a collision it finds is split and counted as that round's
+    refinement, so the fixpoint is the exact one. Before each round, a
+    partition that is discrete, or whose classes are the entry orbits of a
+    verified swap automorphism sigma, is certified instead: the exact
+    round cannot separate two entries of one orbit (an automorphism maps
+    one to the other and keeps their signatures), so it would repeat the
+    dimension. That confirming round is counted (rounds and dims are those
+    of a run that executes it) but not run, and no check runs. Internal
+    colors are assigned canonically from matrix content, so the output is
+    bitwise invariant under vertex relabeling: stabilizing a permuted
+    graph yields the permuted stabilization. Orders above the pair hash's
+    exactness bound are rejected before anything is allocated.
     """
     n = g.order
     _refine.check_order(n)
@@ -147,12 +158,22 @@ def stabilize(g: LabeledGraph) -> StableGraph:
     dims = [dim]
     rounds = 0
     checked = 0
+    certified = False
+    generators = 0
     if n > 1:
         while True:
+            certificate = _refine.orbit_certificate(m, dim)
+            if certificate is not None:
+                certified, generators = True, certificate
+                rounds += 1
+                dims.append(dim)
+                break
             labels, count = _refine.refine_once(m, dim)
             if count == dim:  # hash fixpoint: confirm it exactly
-                labels, count, seen = _refine._verify_streaming(m, dim, labels, count)
+                witnessed: list[int] = []
+                labels, count, seen = _refine._verify_streaming(m, dim, labels, count, witnessed)
                 checked += seen
+                generators = witnessed[0]
             rounds += 1
             dims.append(count)
             if count == dim:
@@ -167,7 +188,12 @@ def stabilize(g: LabeledGraph) -> StableGraph:
     final = _from_array(m + 1)
     hint = rounds > max(2, math.ceil(n * math.log2(n))) if n > 1 else False
     trace = StabilizationTrace(
-        rounds=rounds, dims=tuple(dims), exceeded_iteration_hint=hint, checked_entries=checked
+        rounds=rounds,
+        dims=tuple(dims),
+        exceeded_iteration_hint=hint,
+        checked_entries=checked,
+        certified=certified,
+        generators=generators,
     )
     return StableGraph(graph=final, cells=_cells_from_diagonal(final), trace=trace)
 

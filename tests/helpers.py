@@ -28,6 +28,28 @@ def empty(n: int) -> SimpleGraph:
     return SimpleGraph.from_edges(n, [])
 
 
+def petersen() -> SimpleGraph:
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    inner = [(i, (i + 1) % 5 + 6) for i in range(6, 11)]
+    return SimpleGraph.from_edges(10, outer + inner + [(i, i + 5) for i in range(1, 6)])
+
+
+def complete_bipartite(a: int, b: int) -> SimpleGraph:
+    return SimpleGraph.from_edges(a + b, [(i, j) for i in range(1, a + 1) for j in range(a + 1, a + b + 1)])
+
+
+def hypercube(d: int) -> SimpleGraph:
+    n = 1 << d
+    return SimpleGraph.from_edges(n, [(u + 1, (u ^ 1 << k) + 1) for u in range(n) for k in range(d) if u < u ^ 1 << k])
+
+
+# an order-8 graph whose only nontrivial automorphism is an involution
+AUT2_EDGES = [
+    (1, 2), (1, 3), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 5),
+    (3, 6), (4, 5), (4, 6), (5, 6), (5, 7), (5, 8), (6, 8), (7, 8),
+]
+
+
 # the 3-regular order-10 graph the refinement walkthrough is built around
 ORDER10_EDGES = [
     (1, 2), (1, 5), (1, 6), (2, 3), (2, 7), (3, 4), (3, 9), (4, 5), (4, 8),

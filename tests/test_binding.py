@@ -156,6 +156,8 @@ def test_extension_lands_in_binding_aut():
                 # membership by direct matrix check, then against the search
                 assert apply_permutation(b.graph, tau) == b.graph
                 assert tau.images in lifted_auts
+                for (u, v), p in b.pair_index.items():  # the per-pair definition
+                    assert tau.apply(p) == binding_vertex(b, s.apply(u), s.apply(v))
 
 
 def test_bind_commutes_with_relabeling_up_to_iso():

@@ -277,6 +277,15 @@ def test_cli_stabilize_and_bind(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "dim: 2" in out and "cells: 1,2,3" in out and "rounds:" in out
     assert "checked entries: 9 of 9" in out  # two classes, each compared in full
+    assert "certified: no" in out and "generators: 0" in out
+
+    # the ends of P3 swap: their orbits are the classes after one round
+    f = write_g6(tmp_path, "p3.g6", path(3))
+    assert cli_main(["stabilize", f, "--trace"]) == 0
+    out = capsys.readouterr().out
+    assert "rounds: 2" in out and "dims: [3, 5, 5]" in out
+    assert "checked entries: 0 of 9" in out
+    assert "certified: yes" in out and "generators: 1" in out
 
     assert cli_main(["bind", f]) == 0
     out = capsys.readouterr().out.strip()

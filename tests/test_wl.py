@@ -29,18 +29,23 @@ from wlbind import (
     stabilize,
 )
 
+from wlbind.graphs import SimpleGraph
 from wlbind.harness import random_connected_graph
 
 from helpers import (
+    AUT2_EDGES,
     assert_stable_laws,
     brute_force_aut,
+    complete_bipartite,
     connected_classes,
     cycle,
     empty,
+    hypercube,
     k,
     mask_to_graph,
     order10_graph,
     path,
+    petersen,
 )
 
 
@@ -300,6 +305,33 @@ def test_partial_collisions_keep_fixpoint_and_verdict(n, monkeypatch):
 # --- hash and grouping kernels -------------------------------------------
 
 
+def _recognize_reference(m):
+    """recognize by numpy's unique, as the engine computed it before."""
+    n = m.shape[0]
+    off_vals = np.unique(m[~np.eye(n, dtype=bool)]) if n > 1 else np.empty(0, dtype=m.dtype)
+    out = np.searchsorted(off_vals, m).astype(np.int64)
+    d_uniq, d_inv = np.unique(m.diagonal(), return_inverse=True)
+    out[np.arange(n), np.arange(n)] = off_vals.shape[0] + d_inv
+    return out, int(off_vals.shape[0] + d_uniq.shape[0])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_recognize_matches_unique_reference(seed):
+    rng = np.random.default_rng(seed)
+    top = np.iinfo(np.int64).max
+    for n in (1, 2, 3, 7, 30):
+        cases = [
+            rng.integers(0, 5, (n, n)),
+            rng.integers(0, 2**62, (n, n)),
+            np.full((n, n), seed),  # all colors equal
+            top - rng.integers(0, 3, (n, n)),  # colors next to the int64 maximum
+        ]
+        for m in cases:
+            out, dim = _refine.recognize(m)
+            ref, ref_dim = _recognize_reference(m)
+            assert dim == ref_dim and np.array_equal(out, ref) and out.dtype == np.int64
+
+
 def test_pair_hash_order_bound():
     for dim in (10, 5000):  # the table drawn at import, then one drawn per call
         w = np.stack([_refine._weights(dim, row)[:dim] for row in range(4)])
@@ -371,7 +403,7 @@ def test_rank_key_collision_takes_exact_fallback(monkeypatch):
     assert _partition_of(labels, count) == _reference_partition(major, minor)
 
 
-# --- the fixpoint check and its swap witness ------------------------------
+# --- the fixpoint check and its automorphism witness ----------------------
 
 # the vertex swap (0 1)(2 3) that a diagonal of the form [a, a, b, b] names
 _SIGMA = np.array([1, 0, 3, 2])
@@ -458,11 +490,33 @@ def _witness_cases(n):
     return {"planted": (g, _planted(g, rng)), "random": (g, random_connected_graph(n, rng))}
 
 
-@pytest.mark.parametrize("n", range(6, 13))
-def test_witness_pruning_changes_nothing(n, monkeypatch):
-    """With the witness finder disabled every shared class is compared in
-    full; fixpoints, traces, stability and verdicts must be the same."""
-    pairs = _witness_cases(n)
+# graphs with automorphisms: their planted unions have diagonal classes of
+# four or more vertices, where only the search proposes generators
+_SYMMETRIC_GRAPHS = {
+    "petersen": petersen,
+    "C12": lambda: cycle(12),
+    "K33": lambda: complete_bipartite(3, 3),
+    "cube": lambda: hypercube(3),
+    "aut2": lambda: SimpleGraph.from_edges(8, AUT2_EDGES),
+}
+
+
+def _no_witness(monkeypatch):
+    """Switch off every source of candidate generators."""
+    monkeypatch.setattr(_refine, "_swap_witness", lambda m: None)
+    monkeypatch.setattr(_refine, "_search_witness", lambda m, budget: [])
+
+
+@pytest.mark.parametrize("case", [*range(6, 13), *_SYMMETRIC_GRAPHS])
+def test_witness_pruning_changes_nothing(case, monkeypatch):
+    """With no witness, only discrete fixpoints are certified and every
+    shared class is compared in full; graphs, binding graphs, traces,
+    stability and verdicts must be the same."""
+    if isinstance(case, int):
+        pairs = _witness_cases(case)
+    else:
+        g = _SYMMETRIC_GRAPHS[case]()
+        pairs = {"planted": (g, _planted(g, random.Random(case)))}
     graphs = [disjoint_union(g, h) for g, h in pairs.values()]
     graphs += [bind(u).graph for u in graphs]
 
@@ -476,11 +530,147 @@ def test_witness_pruning_changes_nothing(n, monkeypatch):
         )
 
     pruned, pruned_verdicts, pruned_checked = run()
-    monkeypatch.setattr(_refine, "_swap_witness", lambda m: None)
+    _no_witness(monkeypatch)
     full, full_verdicts, full_checked = run()
     assert pruned == full and pruned_verdicts == full_verdicts
     assert all(a <= b for a, b in zip(pruned_checked, full_checked))
-    assert pruned_verdicts[0][0] and not pruned_verdicts[1][0]
+    assert pruned_verdicts[0][0] and all(not v[0] for v in pruned_verdicts[1:])
+    if case == "aut2":
+        assert len(brute_force_aut(pairs["planted"][0])) == 2
+    if isinstance(case, str):  # the planted binding graph: the search pruned its check
+        assert pruned_checked[-1] < full_checked[-1]
+
+
+def _reference_orbits(perms, points, move):
+    """Smallest member of each point's orbit, by search over the generators."""
+    label = {}
+    for x in points:
+        if x in label:
+            continue
+        orbit, stack = {x}, [x]
+        while stack:
+            y = stack.pop()
+            for p in perms:
+                z = move(p, y)
+                if z not in orbit:
+                    orbit.add(z)
+                    stack.append(z)
+        for y in orbit:
+            label[y] = min(orbit)
+    return [label[x] for x in points]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_orbit_labels_match_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = 9
+    # seed random permutations (none for seed 0) and one transposition
+    perms = [rng.permutation(n) for _ in range(seed)] + [np.array([1, 0, *range(2, n)])]
+    vertices = _refine._orbit_labels(perms, n)
+    assert vertices.tolist() == _reference_orbits(perms, range(n), lambda p, x: int(p[x]))
+    entries = _refine._orbit_labels(perms, n, entries=True)
+
+    def move(p, e):
+        i, j = divmod(e, n)
+        return int(p[i]) * n + int(p[j])
+
+    assert entries.tolist() == _reference_orbits(perms, range(n * n), move)
+
+
+def test_search_candidates_are_verified(monkeypatch):
+    """The search offers the transposition (0 1) inside the diagonal class
+    {0, 1}, and each class is one of its entry orbits; m is not invariant
+    under it, so it must be dropped and the whole check run, which splits."""
+    m = np.array([[0, 3, 3, 2], [2, 0, 2, 2], [2, 3, 1, 3], [3, 3, 3, 1]])
+    tau = np.array([1, 0, 2, 3])
+    assert not _refine._preserves(tau, m)
+    monkeypatch.setattr(_refine, "_BLOCK", 0)  # the search runs however small the check
+    monkeypatch.setattr(_refine, "_swap_witness", lambda m: None)
+    monkeypatch.setattr(_refine, "_search_witness", lambda m, budget: [tau])
+    orbits = {}
+    for e in range(16):
+        i, j = divmod(e, 4)
+        orbits.setdefault(min(e, tau[i] * 4 + tau[j]), []).append(e)
+    labels = _labels_from(list(orbits.values()), 4)
+    expected = _exact_refinement(m, labels)
+    assert len(expected) > len(orbits)
+    assert _verify(m, labels)[0] == expected
+
+
+def test_wrong_search_candidates_change_nothing(monkeypatch):
+    """A search that also proposes a transposition inside a shared class
+    must have it dropped. The hash is forced to collide, so only the exact
+    check separates classes, and the result must be the hashed run's."""
+    g = petersen()
+    union = bind(disjoint_union(g, _planted(g, random.Random(3)))).graph
+    hashed = stabilize(union)
+    search = _refine._search_witness
+    offered = []
+
+    def with_transposition(m, budget):
+        diag = m.diagonal()
+        u, v = np.flatnonzero(diag == np.bincount(diag).argmax())[:2]
+        tau = np.arange(m.shape[0])
+        tau[[u, v]] = v, u
+        offered.append(_refine._preserves(tau, m))
+        return [tau] + search(m, budget)
+
+    monkeypatch.setattr(_refine, "_search_witness", with_transposition)
+    monkeypatch.setattr(_refine, "_pair_hash", lambda m: np.zeros(m.shape, dtype=np.uint64))
+    collided = stabilize(union)
+    assert False in offered  # some transposition was not an automorphism
+    assert collided.cells == hashed.cells
+    assert collided.trace.dims == hashed.trace.dims
+    assert collided.trace.rounds == hashed.trace.rounds
+    assert is_stable(collided.graph)
+
+
+def test_certificate_needs_an_invariant_matrix():
+    """The diagonal names sigma = (0 1)(2 3), whose 8 entry orbits are as many
+    as m's 8 classes; but m[0,2] != m[1,3], so m is not sigma-invariant, and
+    one exact round does split the diagonal class {(0,0), (1,1)}."""
+    m = np.array([[0, 2, 4, 5], [2, 0, 4, 5], [6, 7, 1, 3], [7, 6, 3, 1]])
+    assert np.array_equal(_refine._swap_witness(m), _SIGMA)
+    assert not _refine._preserves(_SIGMA, m)
+    assert _refine.orbit_certificate(m, 8) is None
+    x = stabilize(LabeledGraph(m))
+    assert x.trace.dims[0] == 8 < x.trace.dims[1]
+    assert x.trace.generators == 0  # certified only once discrete
+
+
+def test_orbit_certificate_skips_the_confirming_round(monkeypatch):
+    """A planted union's fixpoint is certified and its confirming round is
+    counted, not run; without the certificate that round runs and repeats
+    the dimension."""
+    rng = random.Random(4)
+    g = random_connected_graph(8, rng)
+    union = bind(disjoint_union(g, _planted(g, rng))).graph
+    rounds = []
+    refine_once = _refine.refine_once
+
+    def counted(m, dim):
+        rounds.append(dim)
+        return refine_once(m, dim)
+
+    monkeypatch.setattr(_refine, "refine_once", counted)
+    x = stabilize(union)
+    assert x.trace.certified and x.trace.generators == 1 and x.trace.checked_entries == 0
+    assert len(rounds) == x.trace.rounds - 1 and x.trace.dims[-1] == x.trace.dims[-2]
+    rounds.clear()
+    _no_witness(monkeypatch)
+    y = stabilize(union)
+    assert not y.trace.certified and len(rounds) == y.trace.rounds
+    assert (y.graph, y.trace.dims, y.trace.rounds) == (x.graph, x.trace.dims, x.trace.rounds)
+
+
+def test_symmetric_fixpoint_checks_nothing():
+    """C20 against a relabelling: every class of the stable binding graph
+    (order 820) is one entry orbit of the generators the search finds."""
+    g = cycle(20)
+    x = stabilize(bind(disjoint_union(g, _planted(g, random.Random(20)))).graph)
+    assert x.order == 820
+    assert not x.trace.certified and x.trace.generators > 1
+    assert x.trace.checked_entries == 0
 
 
 def test_checked_entries_show_the_pruning():
