@@ -33,24 +33,34 @@ Generators are only ever candidates, kept when the invariance checks hold,
 however they were guessed, so a wrong one can cost time but never change
 an answer. Two sources propose them: the swap sigma that exchanges the two
 vertices of every two-vertex diagonal class (when no class is larger),
-the only generator a certificate uses, and, where the full check would
-span more than one block, a budgeted individualization search on m's
-diagonal classes (_search_witness). Each orbit is named by its smallest
-member, found by vectorized label lowering and pointer jumping
-(_orbit_labels). The checked members of a class are
-compared, by sorted signature vector, with the member before them, in
-entry blocks of bounded size, and a class that fails is split over all of
-its members by exact signature order. All numbering derives from matrix
-content alone, which is what makes stabilization permutation-equivariant
+the only generator a certificate uses, and, where the full check is large
+(_SEARCH_GATE), a budgeted individualization search on m's diagonal
+classes (_search_witness). Each orbit is named by its smallest member,
+found by vectorized label lowering and pointer jumping (_orbit_labels).
+The checked members of a class are compared, by sorted signature vector,
+with the member before them, in entry blocks of bounded size, and a class
+that fails is split over all of its members by exact signature order.
+All numbering derives from matrix content alone, which is what makes stabilization permutation-equivariant
 and reproducible across runs.
 """
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
 MAX_ORDER = 8192  # N * (2^20 - 1)^2 < 2^53: each hash sum is an exact float64 integer
 
-_BLOCK = 1 << 16  # signature elements per verify block: bounds the check's memory
+_BLOCK = 1 << 16  # signature elements per verify block: bounds the signatures held at once
+
+# The witness search runs where the full check compares more than _SEARCH_GATE
+# signature elements, with a budget of one split per _SEARCH_SHARE entries of
+# it. On rigid graphs of orders 144-400 whose fixpoint keeps one shared class
+# of N^2 entries, a search that found nothing made stabilization at most 8%
+# slower; at orders 49-81 one split cost as much as comparing 30-60 entries, so
+# below the gate a search would add more than it could save.
+_SEARCH_GATE = 32 * _BLOCK
+_SEARCH_SHARE = 512
 
 _SM1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM2 = np.uint64(0x94D049BB133111EB)
@@ -206,17 +216,26 @@ def _swap_witness(m: np.ndarray) -> np.ndarray | None:
     return sigma
 
 
-def _preserves(gamma: np.ndarray, m: np.ndarray) -> bool:
-    """Whether m[gamma(i), gamma(j)] == m[i, j] for every entry.
+def _permuted(a: np.ndarray, gamma: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """a[gamma(i), gamma(j)] for i in rows (all of gamma by default) and every j,
+    by two one-axis takes, which numpy runs faster than one np.ix_ index."""
+    return np.take(np.take(a, gamma if rows is None else rows, axis=0), gamma, axis=1)
 
-    Rows are compared in blocks that grow fourfold from 8, so a wrong
-    candidate, which seldom agrees on many rows, costs little.
+
+def _preserves(gamma: np.ndarray, *mats: np.ndarray) -> bool:
+    """Whether a[gamma(i), gamma(j)] == a[i, j] for every entry of each matrix a.
+
+    Rows are compared in blocks that grow fourfold from 8, each block of
+    every matrix before the next block, so a wrong candidate, which seldom
+    agrees on many rows, costs little. A block spans at most three quarters
+    of the rows.
     """
     start, size = 0, 8
     while start < gamma.size:
         rows = slice(start, start + size)
-        if not np.array_equal(m[np.ix_(gamma[rows], gamma)], m[rows]):
-            return False
+        for a in mats:
+            if not np.array_equal(_permuted(a, gamma, gamma[rows]), a[rows]):
+                return False
         start, size = start + size, 4 * size
     return True
 
@@ -234,54 +253,65 @@ def orbit_certificate(m: np.ndarray, dim: int) -> int | None:
     n = m.shape[0]
     if dim == n * n:
         return 0
-    sizes = np.bincount(m.diagonal())
-    if sizes.max() != 2:
+    sigma = _swap_witness(m)
+    if sigma is None:
         return None
-    fixed = int(np.count_nonzero(sizes == 1))
+    fixed = int(np.count_nonzero(sigma == np.arange(n)))
     if 2 * dim != n * n + fixed * fixed:
         return None
-    sigma = _swap_witness(m)
-    return 1 if sigma is not None and _preserves(sigma, m) else None
+    return 1 if _preserves(sigma, m) else None
 
 
 def _orbit_labels(perms: list[np.ndarray], n: int, entries: bool = False) -> np.ndarray:
     """The smallest member of each point's orbit under the group perms generate.
 
     The points are the n vertices, or with entries the n * n flat entry
-    indices, which a vertex permutation p moves by (i, j) -> (p(i), p(j)).
-    Every pass lowers each point's label to that of its image under each
-    perm, then jumps every label to its own label until that is stable.
-    A label is always a member of the point's orbit and never above the
-    point; at the fixpoint label[x] <= label[p(x)] for every perm, so
-    labels are constant along each cycle of every perm, hence on each
-    orbit, where they must be its smallest member.
+    indices, which a vertex permutation p moves by (i, j) -> (p(i), p(j));
+    labels are int32 (n * n < 2^31 up to MAX_ORDER). Every pass lowers each
+    point's label to the labels of its image and preimage under each perm,
+    then jumps every label to its own label until that is stable; lowering
+    both ways collapses a cycle in a logarithmic number of jumps. A label is
+    always a member of the point's orbit and never above the point; when a
+    pass lowers nothing, label[x] <= label[p(x)] and label[p(x)] <= label[x]
+    for every perm, so labels are constant on each orbit, where they must be
+    its smallest member. The peak is about 16 bytes per point: the labels,
+    their jumped copy and numpy's intp copy of the index.
     """
-    label = np.arange(n * n if entries else n)
+    label = np.arange(n * n if entries else n, dtype=np.int32)
+    moves = list(perms)
+    for p in perms:  # and the preimage under each perm that is not an involution
+        inverse = np.empty_like(p)
+        inverse[p] = np.arange(p.size)
+        if not np.array_equal(inverse, p):
+            moves.append(inverse)
     while True:
-        lowered = label.copy()
-        for p in perms:
-            image = (p[:, None] * n + p).ravel() if entries else p
-            np.minimum(lowered, lowered[image], out=lowered)
+        before = label.sum(dtype=np.int64)  # labels only fall: an equal sum means no change
+        for p in moves:  # the gathered copy is dropped before the jumps
+            moved = _permuted(label.reshape(n, n), p).ravel() if entries else label[p]
+            np.minimum(label, moved, out=label)
+            del moved
         while True:
-            jumped = lowered[lowered]
-            if np.array_equal(jumped, lowered):
+            jumped = label[label]
+            if np.array_equal(jumped, label):
                 break
-            lowered = jumped
-        if np.array_equal(lowered, label):
+            label = jumped
+        if label.sum(dtype=np.int64) == before:
             return label
-        label = lowered
 
 
 def _split(cells: np.ndarray, m: np.ndarray, v: int) -> np.ndarray:
-    """cells refined by each vertex's colors to and from v, with v alone and
-    first in its cell; numbered by content, so automorphisms commute with it."""
-    row = m[v].copy()
-    col = m[:, v].copy()
-    row[v] = col[v] = -1
-    return _lexsort_rank(cells, row, col)[0]
+    """cells refined by each vertex's colors to and from v, with v alone in
+    its cell; numbered by content, so automorphisms commute with it."""
+    row = m[v] + 1
+    col = m[:, v] + 1
+    row[v] = col[v] = 0
+    radix = max(int(row.max()), int(col.max())) + 1  # below 2^27: the pair code fits
+    return _rank(cells, row * radix + col)[0]
 
 
-def _search_witness(m: np.ndarray, budget: int) -> list[np.ndarray]:
+def _search_witness(
+    m: np.ndarray, budget: int, keep: Callable[[np.ndarray], bool]
+) -> list[np.ndarray]:
     """Candidate automorphisms of m from individualization on its diagonal classes.
 
     The first path starts from the diagonal classes, and at each level
@@ -295,8 +325,8 @@ def _search_witness(m: np.ndarray, budget: int) -> list[np.ndarray]:
     by an automorphism: vertex x goes to the vertex with x's cell number.
     A w already in the orbit of the first path's vertex under the
     candidates found so far is skipped, since they all fix the path above
-    it. A candidate is kept only if it preserves m. At most budget splits
-    are made.
+    it. Each leaf map is offered to keep, the caller's verification, and
+    only maps it accepts are returned. At most budget splits are made.
     """
     n = m.shape[0]
     cells = _lexsort_rank(m.diagonal())[0]
@@ -337,7 +367,7 @@ def _search_witness(m: np.ndarray, budget: int) -> list[np.ndarray]:
                 place = np.empty(n, dtype=np.int64)
                 place[child] = np.arange(n)
                 gamma = place[leaf]
-                if _preserves(gamma, m):
+                if keep(gamma):
                     found.append(gamma)
                     orbit = _orbit_labels(found, n)
                     break
@@ -354,28 +384,38 @@ def _entries_to_check(
 
     Without a generator these are the members of every class of two or
     more. Candidates are the swap sigma and, when the full check would
-    span more than one block, the individualization search, given a
-    budget of one split per 32 entries of the full check; each is kept
-    only if m and labels are both invariant under it. Then every class is
-    a union of entry orbits of the kept generators, so it holds one
-    signature exactly when the smallest members of its orbits do; only
-    classes with two or more such members are returned.
+    compare more than _SEARCH_GATE signature elements, the
+    individualization search, given a budget of one split per
+    _SEARCH_SHARE entries of the full check; each is kept only if m and
+    labels are both invariant under it. Then every class is a union of
+    entry orbits of the kept generators, so it holds one signature
+    exactly when the smallest members of its orbits do; only classes with
+    two or more such members are returned. The orbit labels are the
+    transient peak, about 16 bytes per entry, below the 24 of ordering
+    the entries of a full check.
     """
     n = m.shape[0]
     flat = labels.ravel()
     shared = (sizes > 1)[flat]
-    candidates = []
-    sigma = _swap_witness(m)
-    if sigma is not None:
-        candidates.append(sigma)
     full = int(np.count_nonzero(shared))
-    if full * n > _BLOCK:
-        candidates += _search_witness(m, full // 32)
-    both = m * np.int64(sizes.size) + labels  # invariant exactly when m and labels are
-    kept = [g for g in candidates if _preserves(g, both)]
+    verdicts: dict[bytes, bool] = {}
+
+    def keep(gamma: np.ndarray) -> bool:
+        """Whether m and labels are gamma-invariant, checked once per candidate."""
+        key = gamma.tobytes()
+        if key not in verdicts:
+            verdicts[key] = _preserves(gamma, m, labels)
+        return verdicts[key]
+
+    sigma = _swap_witness(m)
+    candidates = [] if sigma is None else [sigma]
+    if full * n > _SEARCH_GATE:
+        candidates += _search_witness(m, full // _SEARCH_SHARE, keep)
+    kept = [g for g in candidates if keep(g)]
     if not kept:
         return np.flatnonzero(shared), 0
-    first = _orbit_labels(kept, n, entries=True) == np.arange(n * n)
+    del shared
+    first = _orbit_labels(kept, n, entries=True) == np.arange(n * n, dtype=np.int32)
     many = np.bincount(flat[first], minlength=sizes.size) > 1
     return np.flatnonzero(first & many[flat]), len(kept)
 

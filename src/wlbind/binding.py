@@ -103,8 +103,8 @@ def extend_automorphism(b: BindingGraph, s: Permutation) -> Permutation:
     """Lift a basic-graph automorphism to the whole binding graph.
 
     Basic vertices move by s; the binder of {u, v} moves to the binder of
-    {u^s, v^s}, found by its rank in the lexicographic pair order that
-    bind places binders in.
+    {u^s, v^s}, found by its rank in the pair order that bind places
+    binders in.
     """
     n = b.basic_count
     if s.order != n:
@@ -113,13 +113,10 @@ def extend_automorphism(b: BindingGraph, s: Permutation) -> Permutation:
     basic = b.graph.matrix[:n, :n]
     if not np.array_equal(basic[np.ix_(im, im)], basic):
         raise ValueError("permutation is not an automorphism of the basic graph")
-    # binder n + r binds the r-th pair u < v in lexicographic order, and
-    # u * (2n - u - 1) / 2 pairs have a first vertex below u
-    u = np.repeat(np.arange(n), np.arange(n - 1, -1, -1))
-    v = np.arange(u.size) - u * (2 * n - u - 1) // 2 + u + 1
-    lo, hi = np.minimum(im[u], im[v]), np.maximum(im[u], im[v])
-    rank = lo * (2 * n - lo - 1) // 2 + hi - lo - 1
-    return Permutation(tuple((np.concatenate((im, n + rank)) + 1).tolist()))
+    u, v = np.triu_indices(n, 1)  # binder n + r binds the r-th pair, as in bind
+    rank = np.empty((n, n), dtype=np.int64)
+    rank[u, v] = rank[v, u] = np.arange(u.size)
+    return Permutation(tuple((np.concatenate((im, n + rank[im[u], im[v]])) + 1).tolist()))
 
 
 def classify_cells(b: BindingGraph, p: Partition) -> list[CellClass]:

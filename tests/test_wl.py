@@ -504,7 +504,7 @@ _SYMMETRIC_GRAPHS = {
 def _no_witness(monkeypatch):
     """Switch off every source of candidate generators."""
     monkeypatch.setattr(_refine, "_swap_witness", lambda m: None)
-    monkeypatch.setattr(_refine, "_search_witness", lambda m, budget: [])
+    monkeypatch.setattr(_refine, "_search_witness", lambda m, budget, keep: [])
 
 
 @pytest.mark.parametrize("case", [*range(6, 13), *_SYMMETRIC_GRAPHS])
@@ -517,6 +517,8 @@ def test_witness_pruning_changes_nothing(case, monkeypatch):
     else:
         g = _SYMMETRIC_GRAPHS[case]()
         pairs = {"planted": (g, _planted(g, random.Random(case)))}
+        # these checks are small; let the search run on every one of them
+        monkeypatch.setattr(_refine, "_SEARCH_GATE", 0)
     graphs = [disjoint_union(g, h) for g, h in pairs.values()]
     graphs += [bind(u).graph for u in graphs]
 
@@ -577,6 +579,15 @@ def test_orbit_labels_match_reference(seed):
     assert entries.tolist() == _reference_orbits(perms, range(n * n), move)
 
 
+def test_orbit_labels_of_a_long_cycle():
+    """A 12-cycle in vertex order and its reverse: labels lowered both ways."""
+    n = 12
+    for cyc in (np.roll(np.arange(n), 1), np.roll(np.arange(n), -1)):
+        assert _refine._orbit_labels([cyc], n).tolist() == [0] * n
+        entries = _refine._orbit_labels([cyc], n, entries=True)
+        assert entries.tolist() == [(j - i) % n for i in range(n) for j in range(n)]
+
+
 def test_search_candidates_are_verified(monkeypatch):
     """The search offers the transposition (0 1) inside the diagonal class
     {0, 1}, and each class is one of its entry orbits; m is not invariant
@@ -584,9 +595,9 @@ def test_search_candidates_are_verified(monkeypatch):
     m = np.array([[0, 3, 3, 2], [2, 0, 2, 2], [2, 3, 1, 3], [3, 3, 3, 1]])
     tau = np.array([1, 0, 2, 3])
     assert not _refine._preserves(tau, m)
-    monkeypatch.setattr(_refine, "_BLOCK", 0)  # the search runs however small the check
+    monkeypatch.setattr(_refine, "_SEARCH_GATE", 0)  # the search runs however small the check
     monkeypatch.setattr(_refine, "_swap_witness", lambda m: None)
-    monkeypatch.setattr(_refine, "_search_witness", lambda m, budget: [tau])
+    monkeypatch.setattr(_refine, "_search_witness", lambda m, budget, keep: [tau])
     orbits = {}
     for e in range(16):
         i, j = divmod(e, 4)
@@ -607,13 +618,13 @@ def test_wrong_search_candidates_change_nothing(monkeypatch):
     search = _refine._search_witness
     offered = []
 
-    def with_transposition(m, budget):
+    def with_transposition(m, budget, keep):
         diag = m.diagonal()
         u, v = np.flatnonzero(diag == np.bincount(diag).argmax())[:2]
         tau = np.arange(m.shape[0])
         tau[[u, v]] = v, u
         offered.append(_refine._preserves(tau, m))
-        return [tau] + search(m, budget)
+        return [tau] + search(m, budget, keep)
 
     monkeypatch.setattr(_refine, "_search_witness", with_transposition)
     monkeypatch.setattr(_refine, "_pair_hash", lambda m: np.zeros(m.shape, dtype=np.uint64))
