@@ -425,8 +425,7 @@ def _verify_streaming(
     dim: int,
     labels: np.ndarray,
     count: int,
-    witnessed: list[int] | None = None,
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[np.ndarray, int, int, int]:
     """Exact check of a partition of m's entries by pair signature.
 
     m: (n, n) with colors dense in [0, dim); labels: (n, n) classes dense in
@@ -436,22 +435,19 @@ def _verify_streaming(
     generators, see _entries_to_check) are grouped by class, and each is
     compared with the checked member before it in its class, so a class
     holds one signature exactly when every comparison is equal. Returns
-    (labels, count, checked): labels and count unchanged when every class
-    passes, else the partition refined by exact signature (a failing class
-    is split over all of its members into sub-classes numbered by signature
-    order, with one class's signatures materialized at a time); checked
-    counts the entries whose signatures the comparison computed. The
-    number of generators the check used is appended to witnessed, if given.
+    (labels, count, checked, generators): labels and count unchanged when
+    every class passes, else the partition refined by exact signature (a
+    failing class is split over all of its members into sub-classes
+    numbered by signature order, with one class's signatures materialized
+    at a time); checked counts the entries whose signatures the comparison
+    computed, and generators is the number of verified generators the
+    check used.
     """
     flat = labels.ravel()
     sizes = np.bincount(flat, minlength=count)
     if sizes.max() < 2:  # discrete: nothing to compare
-        if witnessed is not None:
-            witnessed.append(0)
-        return labels, count, 0
+        return labels, count, 0, 0
     check, generators = _entries_to_check(m, labels, sizes)
-    if witnessed is not None:
-        witnessed.append(generators)
     check = check[np.argsort(flat[check], kind="stable")]  # grouped by class
 
     bad = np.zeros(count, dtype=bool)
@@ -473,7 +469,7 @@ def _verify_streaming(
             _, sub[members] = np.unique(keys, return_inverse=True)
         out, total = _rank(flat, sub)
         labels, count = out.reshape(labels.shape), total
-    return labels, count, int(check.size)
+    return labels, count, int(check.size), generators
 
 
 def compact(m: np.ndarray) -> tuple[np.ndarray, int]:

@@ -34,7 +34,7 @@ def _cmd_stabilize(args: argparse.Namespace) -> int:
     g = _read_graph(args.file, args.format)
     x = stabilize(g)
     width = len(str(x.dim()))
-    for row in x.graph.rows:
+    for row in x.graph.matrix.tolist():
         print(" ".join(f"{c:{width}d}" for c in row))
     print(f"dim: {x.dim()}")
     print(f"cells: {_print_partition(x.cells)}")

@@ -2,12 +2,12 @@
 
 A graph of order n holds one n x n matrix of non-negative integer color
 ids: a read-only, C-contiguous int64 numpy array, copied from its input
-once at construction and validated with array operations. `rows` is a
-tuple-of-tuples view of the same matrix, built on first use, for the
-pure-Python reference code and the per-entry checks. Color 0 is reserved
-for the blank label (non-edges, and the diagonal of simple graphs); it is
-never handed out as a fresh color by any refinement step. Vertices are
-1-based everywhere in the public API.
+once at construction and validated with array operations. The matrix is
+the graph's only representation: a pure-Python check that loops over
+entries reads a local `matrix.tolist()`. Color 0 is reserved for the
+blank label (non-edges, and the diagonal of simple graphs); it is never
+handed out as a fresh color by any refinement step. Vertices are 1-based
+everywhere in the public API.
 """
 from __future__ import annotations
 
@@ -79,18 +79,13 @@ class LabeledGraph:
     def _hash(self) -> int:
         return hash(self.matrix.tobytes())
 
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The matrix as a tuple of row tuples of Python ints."""
-        return tuple(map(tuple, self.matrix.tolist()))
-
     @property
     def order(self) -> int:
         return self.matrix.shape[0]
 
     def cell(self, u: int, v: int) -> int:
         """Color of entry (u, v), 1-based."""
-        return self.rows[u - 1][v - 1]
+        return int(self.matrix[u - 1, v - 1])
 
     def dim(self) -> int:
         """Number of distinct colors appearing in the matrix."""

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .binding import BASIC, MIXED, BindingGraph, bind, binding_vertex, classify_cells, phi_graph
+from .binding import BASIC, MIXED, BindingGraph, bind, classify_cells, phi_graph
 from .codecs import encode_graph6, parse_graph6
 from .decider import decide_iso
 from .graphs import EDGE, Partition, Permutation, SimpleGraph, apply_permutation, is_connected
@@ -313,33 +313,25 @@ def _check_phi(b: BindingGraph, x: StableGraph) -> bool:
     return equivalent(stabilize(phi_graph(b, x)).graph, x.graph)
 
 
-def _binding_edge_colors(b: BindingGraph, x: StableGraph, u: int, v: int) -> set[int]:
-    p = binding_vertex(b, u, v)
-    m = x.graph.rows
-    return {m[p - 1][u - 1], m[u - 1][p - 1], m[p - 1][v - 1], m[v - 1][p - 1]}
-
-
 def _check_edge_color_separation(b: BindingGraph, x: StableGraph) -> bool:
     """Binding-edge colors over edge pairs and non-edge pairs never mix, and
     (for basic order > 2) basic-edge colors avoid binding-edge colors."""
     n = b.basic_count
+    m = x.graph.matrix.tolist()
+    basic = b.graph.matrix.tolist()
     edge_side: set[int] = set()
     nonedge_side: set[int] = set()
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            colors = _binding_edge_colors(b, x, u, v)
-            if b.graph.rows[u - 1][v - 1] == EDGE:
-                edge_side |= colors
-            else:
-                nonedge_side |= colors
+    for (u, v), p in b.pair_index.items():
+        side = edge_side if basic[u - 1][v - 1] == EDGE else nonedge_side
+        side.update((m[p - 1][u - 1], m[u - 1][p - 1], m[p - 1][v - 1], m[v - 1][p - 1]))
     if edge_side & nonedge_side:
         return False
     if n > 2:
         basic_edge_colors = {
-            x.graph.rows[u - 1][v - 1]
+            m[u - 1][v - 1]
             for u in range(1, n + 1)
             for v in range(1, n + 1)
-            if u != v and b.graph.rows[u - 1][v - 1] == EDGE
+            if u != v and basic[u - 1][v - 1] == EDGE
         }
         if basic_edge_colors & (edge_side | nonedge_side):
             return False
@@ -348,20 +340,15 @@ def _check_edge_color_separation(b: BindingGraph, x: StableGraph) -> bool:
 
 def _check_pair_label_equivalences(b: BindingGraph, x: StableGraph) -> bool:
     """The label pair on (u,v), the labels on its binding edges, and the label
-    of its binding vertex all determine each other."""
-    n = b.basic_count
-    m = x.graph.rows
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    feats = []
-    for u, v in pairs:
-        p = binding_vertex(b, u, v)
+    of its binding vertex all determine each other: each takes as many
+    distinct values over the pairs as the triples of all three do."""
+    m = x.graph.matrix.tolist()
+    feats = set()
+    for (u, v), p in b.pair_index.items():
         conn = tuple(sorted((m[u - 1][v - 1], m[v - 1][u - 1])))
         bedges = tuple(sorted((m[u - 1][p - 1], m[v - 1][p - 1])))
-        feats.append((conn, bedges, m[p - 1][p - 1]))
-    for (c1, e1, p1), (c2, e2, p2) in itertools.combinations(feats, 2):
-        if not ((c1 == c2) == (e1 == e2) == (p1 == p2)):
-            return False
-    return True
+        feats.add((conn, bedges, m[p - 1][p - 1]))
+    return all(len({f[k] for f in feats}) == len(feats) for k in range(3))
 
 
 def _check_basic_cells_are_orbits(b: BindingGraph, x: StableGraph, budget: Optional[int]) -> bool:

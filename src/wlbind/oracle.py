@@ -34,11 +34,11 @@ def node_budget() -> int:
     return int(raw) if raw else DEFAULT_NODE_BUDGET
 
 
-def _profiles(g: LabeledGraph) -> list[tuple]:
+def _profiles(rows: list[list[int]]) -> list[tuple]:
     """Per vertex: its diagonal color and sorted row and column colors."""
     return [
         (row[i], tuple(sorted(row)), tuple(sorted(col)))
-        for i, (row, col) in enumerate(zip(g.rows, zip(*g.rows)))
+        for i, (row, col) in enumerate(zip(rows, zip(*rows)))
     ]
 
 
@@ -46,13 +46,13 @@ class _Search:
     """Backtracking search for permutations p with h[i][j] == g[p(i)][p(j)]."""
 
     def __init__(self, g: LabeledGraph, h: LabeledGraph, budget: int) -> None:
-        self.g = g
-        self.h = h
+        self.g_rows = g.matrix.tolist()
+        self.h_rows = h.matrix.tolist()
         self.n = g.order
         self.budget = budget
         self.nodes = 0
-        gp = _profiles(g)
-        hp = _profiles(h)
+        gp = _profiles(self.g_rows)
+        hp = _profiles(self.h_rows)
         self.candidates = [
             [v for v in range(self.n) if gp[v] == hp[i]] for i in range(self.n)
         ]
@@ -108,7 +108,7 @@ class _Search:
 
     def _fits(self, i: int, v: int, mapping: list[int], depth: int) -> bool:
         """Whether i -> v agrees with the assignments of the first depth vertices."""
-        g_rows, h_rows = self.g.rows, self.h.rows
+        g_rows, h_rows = self.g_rows, self.h_rows
         gv, hi = g_rows[v], h_rows[i]
         for j in self.order[:depth]:
             w = mapping[j]

@@ -89,19 +89,19 @@ def recognize_vertices(g: LabeledGraph) -> LabeledGraph:
     fresh colors exactly when they were equal before.
     """
     n = g.order
-    base = max(max(r) for r in g.rows) + 1
-    diag_vals = sorted({g.rows[i][i] for i in range(n)})
+    m = g.matrix.tolist()
+    base = max(map(max, m)) + 1
+    diag_vals = sorted({m[i][i] for i in range(n)})
     fresh = {v: base + r for r, v in enumerate(diag_vals)}
-    rows = [list(r) for r in g.rows]
     for i in range(n):
-        rows[i][i] = fresh[g.rows[i][i]]
-    return LabeledGraph(tuple(tuple(r) for r in rows))
+        m[i][i] = fresh[m[i][i]]
+    return LabeledGraph(m)
 
 
 def diamond(g: LabeledGraph) -> SignatureMatrix:
     """The pair-multiset product: entry (i, j) collects all walks (i, k, j)."""
     n = g.order
-    rows = g.rows
+    rows = g.matrix.tolist()
     out = []
     for i in range(n):
         ri = rows[i]
@@ -170,10 +170,8 @@ def stabilize(g: LabeledGraph) -> StableGraph:
                 break
             labels, count = _refine.refine_once(m, dim)
             if count == dim:  # hash fixpoint: confirm it exactly
-                witnessed: list[int] = []
-                labels, count, seen = _refine._verify_streaming(m, dim, labels, count, witnessed)
+                labels, count, seen, generators = _refine._verify_streaming(m, dim, labels, count)
                 checked += seen
-                generators = witnessed[0]
             rounds += 1
             dims.append(count)
             if count == dim:
@@ -212,7 +210,7 @@ def is_stable(g: LabeledGraph) -> bool:
     # the exact round: entries grouped by hash alone, then split by signature
     _, hashed = np.unique(_refine._pair_hash(m), return_inverse=True)
     groups = int(hashed.max()) + 1
-    labels, count, _ = _refine._verify_streaming(m, dim, hashed.reshape(m.shape), groups)
+    labels, count, _, _ = _refine._verify_streaming(m, dim, hashed.reshape(m.shape), groups)
     if count != dim:
         return False
     pairs = m.ravel() * np.int64(count) + labels.ravel()
@@ -224,18 +222,17 @@ def certify_stable(g: LabeledGraph) -> StableGraph:
     if not is_stable(g):
         raise ValueError("graph is not a refinement fixpoint")
     n = g.order
-    diag = {g.rows[i][i] for i in range(n)}
-    off = {g.rows[i][j] for i in range(n) for j in range(n) if i != j}
+    m = g.matrix.tolist()
+    diag = {m[i][i] for i in range(n)}
+    off = {m[i][j] for i in range(n) for j in range(n) if i != j}
     if diag & off:
         raise ValueError("diagonal colors leak into off-diagonal entries")
+    # fwd maps the matrix's color set onto itself, so a function is a bijection
     fwd: dict[int, int] = {}
-    for i in range(n):
-        for j in range(n):
-            c, ct = g.rows[i][j], g.rows[j][i]
+    for row, col in zip(m, zip(*m)):
+        for c, ct in zip(row, col):
             if fwd.setdefault(c, ct) != ct:
                 raise ValueError("transpose colors are not a function of forward colors")
-    if len(set(fwd.values())) != len(fwd):
-        raise ValueError("transpose color map is not a bijection")
     trace = StabilizationTrace(rounds=0, dims=(len(diag) + len(off),))
     return StableGraph(graph=g, cells=_cells_from_diagonal(g), trace=trace)
 
@@ -245,7 +242,7 @@ def embeds(a: LabeledGraph, b: LabeledGraph) -> bool:
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} vs {b.order}")
     seen: dict[int, int] = {}
-    for ra, rb in zip(a.rows, b.rows):
+    for ra, rb in zip(a.matrix.tolist(), b.matrix.tolist()):
         for ca, cb in zip(ra, rb):
             if seen.setdefault(cb, ca) != ca:
                 return False
@@ -267,9 +264,8 @@ def block_partition(x: StableGraph, u: int) -> Partition:
     if not 1 <= u <= n:
         raise ValueError(f"vertex {u} out of range for order {n}")
     groups: dict[int, list[int]] = {}
-    row = x.graph.rows[u - 1]
-    for j in range(n):
-        groups.setdefault(row[j], []).append(j + 1)
+    for j, c in enumerate(x.graph.matrix[u - 1].tolist(), 1):
+        groups.setdefault(c, []).append(j)
     return Partition.from_cells(groups.values())
 
 
@@ -300,10 +296,10 @@ def restrict_to_cells(x: StableGraph, keep: Iterable[int]) -> StableGraph:
     return certify_stable(LabeledGraph(x.graph.matrix[vertices[:, None], vertices]))
 
 
-def _row_col_multisets(g: LabeledGraph, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    row = tuple(sorted(g.rows[i]))
-    col = tuple(sorted(g.rows[k][i] for k in range(g.order)))
-    return row, col
+def _row_col_multisets(g: LabeledGraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Per index: the sorted colors of its row and of its column."""
+    m = g.matrix.tolist()
+    return [(tuple(sorted(row)), tuple(sorted(col))) for row, col in zip(m, zip(*m))]
 
 
 def similar(x: StableGraph, y: StableGraph) -> bool:
@@ -311,19 +307,14 @@ def similar(x: StableGraph, y: StableGraph) -> bool:
     every index, plus cross-graph agreement between colors and signatures."""
     if x.order != y.order:
         raise ValueError(f"order mismatch: {x.order} vs {y.order}")
-    n = x.order
-    for i in range(n):
-        if _row_col_multisets(x.graph, i) != _row_col_multisets(y.graph, i):
-            return False
+    if _row_col_multisets(x.graph) != _row_col_multisets(y.graph):
+        return False
     # each color names one signature inside a stable graph; the graphs agree
     # exactly when those namings coincide
     def naming(g: LabeledGraph) -> dict[int, Signature]:
-        sigs = diamond(g)
         out: dict[int, Signature] = {}
-        for u in range(g.order):
-            for v in range(g.order):
-                c = g.rows[u][v]
-                s = sigs.entries[u][v]
+        for row, sig_row in zip(g.matrix.tolist(), diamond(g).entries):
+            for c, s in zip(row, sig_row):
                 if out.setdefault(c, s) != s:
                     raise ValueError("input is not stable: one color, two signatures")
         return out
@@ -343,8 +334,9 @@ def is_equatable(x: StableGraph, cell_a: int, cell_b: int) -> bool:
             raise ValueError(f"cell index {c} out of range (have {ncells} cells)")
     alpha = x.cells.cells[cell_a]
     beta = x.cells.cells[cell_b]
-    rows = {tuple(sorted(x.graph.rows[u - 1][v - 1] for v in beta)) for u in alpha}
+    m = x.graph.matrix.tolist()
+    rows = {tuple(sorted(m[u - 1][v - 1] for v in beta)) for u in alpha}
     if len(rows) != 1:
         return False
-    cols = {tuple(sorted(x.graph.rows[u - 1][v - 1] for u in alpha)) for v in beta}
+    cols = {tuple(sorted(m[u - 1][v - 1] for u in alpha)) for v in beta}
     return len(cols) == 1

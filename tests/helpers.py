@@ -121,8 +121,9 @@ def assert_stable_laws(g: LabeledGraph) -> None:
     assert len(set(conv.values())) == len(conv), "transpose color map not injective"
 
     # equal vertex colors exactly when row and column multisets both match
+    m = g.matrix.tolist()
     sigs = {
-        u: (tuple(sorted(g.rows[u - 1])), tuple(sorted(g.rows[k][u - 1] for k in range(n))))
+        u: (tuple(sorted(m[u - 1])), tuple(sorted(m[k][u - 1] for k in range(n))))
         for u in range(1, n + 1)
     }
     for u in range(1, n + 1):
@@ -131,28 +132,30 @@ def assert_stable_laws(g: LabeledGraph) -> None:
 
 
 # Double-loop references for the array-backed constructors. Each returns
-# the matrix as a tuple of row tuples, plus what else the original returns.
+# the matrix as a list of row lists, plus what else the original returns.
 
 
-def ref_disjoint_union(g: SimpleGraph, h: SimpleGraph) -> tuple[tuple[int, ...], ...]:
+def ref_disjoint_union(g: SimpleGraph, h: SimpleGraph) -> list[list[int]]:
     n = g.order
+    gm, hm = g.matrix.tolist(), h.matrix.tolist()
     m = [[BLANK] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         for j in range(n):
-            m[i][j] = g.rows[i][j]
-            m[n + i][n + j] = h.rows[i][j]
-    return tuple(tuple(r) for r in m)
+            m[i][j] = gm[i][j]
+            m[n + i][n + j] = hm[i][j]
+    return m
 
 
-def ref_bind(g: SimpleGraph) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, int], int]]:
+def ref_bind(g: SimpleGraph) -> tuple[list[list[int]], dict[tuple[int, int], int]]:
     """Binding matrix and pair index: binders after the basic vertices, pairs
     in lexicographic order."""
     n = g.order
     n1 = n * (n + 1) // 2
+    gm = g.matrix.tolist()
     m = [[BLANK] * n1 for _ in range(n1)]
     for i in range(n):
         for j in range(n):
-            m[i][j] = g.rows[i][j]
+            m[i][j] = gm[i][j]
     pair_index = {}
     p = n + 1
     for u in range(1, n + 1):
@@ -162,52 +165,55 @@ def ref_bind(g: SimpleGraph) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[in
                 m[w - 1][p - 1] = EDGE
                 m[p - 1][w - 1] = EDGE
             p += 1
-    return tuple(tuple(r) for r in m), pair_index
+    return m, pair_index
 
 
-def ref_apply_permutation(g: LabeledGraph, p: Permutation) -> tuple[tuple[int, ...], ...]:
+def ref_apply_permutation(g: LabeledGraph, p: Permutation) -> list[list[int]]:
     n = g.order
+    gm = g.matrix.tolist()
     m = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            m[p.images[i] - 1][p.images[j] - 1] = g.rows[i][j]
-    return tuple(tuple(r) for r in m)
+            m[p.images[i] - 1][p.images[j] - 1] = gm[i][j]
+    return m
 
 
-def ref_phi_graph(b, x) -> tuple[tuple[int, ...], ...]:
+def ref_phi_graph(b, x) -> list[list[int]]:
     """Stable colors on the diagonal and on binding edges, blank elsewhere."""
     n = b.basic_count
+    bm, xm = b.graph.matrix.tolist(), x.graph.matrix.tolist()
     rows = []
     for i in range(b.order):
         row = []
         for j in range(b.order):
-            if i != j and b.graph.rows[i][j] == BLANK:
+            if i != j and bm[i][j] == BLANK:
                 row.append(BLANK)
-            elif i < n and j < n and b.graph.rows[i][j] == EDGE:
+            elif i < n and j < n and bm[i][j] == EDGE:
                 row.append(BLANK)
             else:
-                row.append(x.graph.rows[i][j])
-        rows.append(tuple(row))
-    return tuple(rows)
+                row.append(xm[i][j])
+        rows.append(row)
+    return rows
 
 
-def ref_individualize(x, u: int) -> tuple[tuple[int, ...], ...]:
-    fresh = max(max(r) for r in x.graph.rows) + 1
-    rows = [list(r) for r in x.graph.rows]
+def ref_individualize(x, u: int) -> list[list[int]]:
+    rows = x.graph.matrix.tolist()
+    fresh = max(max(r) for r in rows) + 1
     rows[u - 1][u - 1] = fresh
-    return tuple(tuple(r) for r in rows)
+    return rows
 
 
-def ref_restrict(x, keep) -> tuple[tuple[int, ...], ...]:
+def ref_restrict(x, keep) -> list[list[int]]:
+    xm = x.graph.matrix.tolist()
     vertices = sorted(v for i in set(keep) for v in x.cells.cells[i])
-    return tuple(tuple(x.graph.rows[u - 1][v - 1] for v in vertices) for u in vertices)
+    return [[xm[u - 1][v - 1] for v in vertices] for u in vertices]
 
 
 def ref_cells(g: LabeledGraph) -> tuple[tuple[int, ...], ...]:
     """Vertices grouped by diagonal color, ordered by smallest member."""
     groups: dict[int, list[int]] = {}
-    for i in range(g.order):
-        groups.setdefault(g.rows[i][i], []).append(i + 1)
+    for i, row in enumerate(g.matrix.tolist()):
+        groups.setdefault(row[i], []).append(i + 1)
     return tuple(sorted(tuple(c) for c in groups.values()))
 
 
@@ -221,7 +227,8 @@ def ref_encode_graph6(g: SimpleGraph) -> bytes:
         out.append(n + 63)
     else:
         out += bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    bits = [1 if g.rows[i][j] == EDGE else 0 for j in range(1, n) for i in range(j)]
+    m = g.matrix.tolist()
+    bits = [1 if m[i][j] == EDGE else 0 for j in range(1, n) for i in range(j)]
     while len(bits) % 6:
         bits.append(0)
     for k in range(0, len(bits), 6):
@@ -232,7 +239,7 @@ def ref_encode_graph6(g: SimpleGraph) -> bytes:
     return bytes(out)
 
 
-def ref_decode_graph6(data: bytes) -> tuple[tuple[int, ...], ...]:
+def ref_decode_graph6(data: bytes) -> list[list[int]]:
     """Adjacency rows of a well-formed graph6 record without header."""
     if data[0] != 126:
         n, pos = data[0] - 63, 1
@@ -249,4 +256,4 @@ def ref_decode_graph6(data: bytes) -> tuple[tuple[int, ...], ...]:
             if bits[k]:
                 m[i][j] = m[j][i] = EDGE
             k += 1
-    return tuple(tuple(r) for r in m)
+    return m

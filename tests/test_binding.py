@@ -34,19 +34,19 @@ from helpers import (
 def test_bind_k3_layout():
     b = bind(k(3))
     expected = [
-        (0, 1, 1, 1, 1, 0),
-        (1, 0, 1, 1, 0, 1),
-        (1, 1, 0, 0, 1, 1),
-        (1, 1, 0, 0, 0, 0),
-        (1, 0, 1, 0, 0, 0),
-        (0, 1, 1, 0, 0, 0),
+        [0, 1, 1, 1, 1, 0],
+        [1, 0, 1, 1, 0, 1],
+        [1, 1, 0, 0, 1, 1],
+        [1, 1, 0, 0, 0, 0],
+        [1, 0, 1, 0, 0, 0],
+        [0, 1, 1, 0, 0, 0],
     ]
-    assert list(b.graph.rows) == expected
+    assert b.graph.matrix.tolist() == expected
 
 
 def test_bind_empty2_layout():
     b = bind(empty(2))
-    assert list(b.graph.rows) == [(0, 0, 1), (0, 0, 1), (1, 1, 0)]
+    assert b.graph.matrix.tolist() == [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
 
 
 def test_bind_rejects_tiny():

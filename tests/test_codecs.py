@@ -47,7 +47,7 @@ def test_graph6_roundtrip_exhaustive_small():
 def _assert_graph6_matches_reference(g: SimpleGraph) -> None:
     data = encode_graph6(g)
     assert data == ref_encode_graph6(g)
-    assert parse_graph6(data).rows == ref_decode_graph6(data) == g.rows
+    assert parse_graph6(data).matrix.tolist() == ref_decode_graph6(data) == g.matrix.tolist()
 
 
 def test_graph6_matches_bitwise_reference_exhaustive():

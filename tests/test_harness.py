@@ -4,10 +4,22 @@ import random
 
 import pytest
 
-from wlbind import cli, encode_graph6, is_connected, parse_graph6
+from wlbind import (
+    LabeledGraph,
+    StableGraph,
+    bind,
+    binding_vertex,
+    cli,
+    encode_graph6,
+    is_connected,
+    parse_graph6,
+    stabilize,
+)
 from wlbind.cli import main as cli_main
 from wlbind.harness import (
     CorpusSpec,
+    _check_edge_color_separation,
+    _check_pair_label_equivalences,
     bench_scaling,
     build_corpus,
     claim_checks,
@@ -75,7 +87,7 @@ def test_enumerate_matches_pairwise_oracle_dedupe():
 def test_enumerate_deterministic():
     a = enumerate_graphs(5)
     b = enumerate_graphs(5)
-    assert [g.rows for g in a] == [g.rows for g in b]
+    assert [g.matrix.tolist() for g in a] == [g.matrix.tolist() for g in b]
 
 
 def test_random_connected_graph_seeded():
@@ -166,6 +178,30 @@ def test_lemma_suite_includes_mixed_check_at_4():
 def test_claim_checks_all_pass_on_path4():
     checks = claim_checks(path(4))
     assert all(fn() for fn in checks.values())
+
+
+def _rewritten(x: StableGraph, entries: dict[tuple[int, int], int]) -> StableGraph:
+    """x with each 1-based entry (u, v) set to the color given for it."""
+    m = x.graph.matrix.copy()
+    for (u, v), c in entries.items():
+        m[u - 1, v - 1] = c
+    return StableGraph(graph=LabeledGraph(m), cells=x.cells, trace=x.trace)
+
+
+def test_binding_color_checks_fail_on_rewritten_colors():
+    b = bind(path(4))
+    x = stabilize(b.graph)
+    assert _check_edge_color_separation(b, x) and _check_pair_label_equivalences(b, x)
+    m = x.graph.matrix
+    p12, p13 = binding_vertex(b, 1, 2), binding_vertex(b, 1, 3)
+    fresh = int(m.max()) + 1
+    # an edge pair's binding edge takes a non-edge pair's binding-edge color
+    assert not _check_edge_color_separation(b, _rewritten(x, {(p12, 1): m[p13 - 1, 0]}))
+    # a basic edge takes a binding-edge color
+    assert not _check_edge_color_separation(b, _rewritten(x, {(1, 2): m[p12 - 1, 0]}))
+    # {1, 2} and {3, 4} agree everywhere but on one binding edge, or on the binder
+    assert not _check_pair_label_equivalences(b, _rewritten(x, {(1, p12): fresh}))
+    assert not _check_pair_label_equivalences(b, _rewritten(x, {(p12, p12): fresh}))
 
 
 # --- reports ---------------------------------------------------------------

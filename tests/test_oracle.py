@@ -159,10 +159,13 @@ def test_budget_env_override(monkeypatch):
     assert node_budget() == 10_000_000
 
 
-def _recursive_search(s: _Search, find_all: bool) -> tuple[list[tuple[int, ...]], int]:
-    """The search as plain recursion: found image tuples and nodes visited."""
+def _recursive_search(
+    s: _Search, g: LabeledGraph, h: LabeledGraph, find_all: bool
+) -> tuple[list[tuple[int, ...]], int]:
+    """The search for g and h as plain recursion: found image tuples and nodes visited."""
     if any(not c for c in s.candidates):
         return [], 0
+    gm, hm = g.matrix.tolist(), h.matrix.tolist()
     found, mapping, used, nodes = [], [-1] * s.n, [False] * s.n, 0
 
     def extend(depth):
@@ -175,8 +178,8 @@ def _recursive_search(s: _Search, find_all: bool) -> tuple[list[tuple[int, ...]]
             if used[v]:
                 continue
             nodes += 1
-            if any(s.g.rows[v][mapping[j]] != s.h.rows[i][j]
-                   or s.g.rows[mapping[j]][v] != s.h.rows[j][i] for j in s.order[:depth]):
+            if any(gm[v][mapping[j]] != hm[i][j]
+                   or gm[mapping[j]][v] != hm[j][i] for j in s.order[:depth]):
                 continue
             mapping[i], used[v] = v, True
             if extend(depth + 1):
@@ -196,7 +199,7 @@ def test_search_visits_nodes_in_recursive_order():
                 for find_all in (False, True):
                     s = _Search(b, h, 10**9)
                     found = [p.images for p in s.run(find_all)]
-                    assert (found, s.nodes) == _recursive_search(_Search(b, h, 10**9), find_all)
+                    assert (found, s.nodes) == _recursive_search(_Search(b, h, 10**9), b, h, find_all)
 
 
 def test_oracle_handles_order_beyond_recursion_limit():

@@ -434,7 +434,7 @@ def _exact_refinement(m, labels):
 
 def _verify(m, labels):
     count = int(labels.max()) + 1
-    out, total, checked = _refine._verify_streaming(m, int(m.max()) + 1, labels, count)
+    out, total, checked, _ = _refine._verify_streaming(m, int(m.max()) + 1, labels, count)
     return _partition_of(out.ravel(), total), checked
 
 
@@ -809,6 +809,13 @@ def test_certify_rejects_unstable():
         certify_stable(path(3))
 
 
+def test_certify_rejects_diagonal_color_leak():
+    g = LabeledGraph([[0, 0], [0, 0]])
+    assert is_stable(g)
+    with pytest.raises(ValueError, match="diagonal colors leak"):
+        certify_stable(g)
+
+
 # --- similarity and equatable blocks --------------------------------------
 
 
@@ -854,7 +861,7 @@ def test_equatable_blocks_everywhere():
 
 def test_equatable_negative_control():
     x = stabilize(bind(k(3)).graph)
-    rows = [list(r) for r in x.graph.rows]
+    rows = x.graph.matrix.tolist()
     rows[3][0] = rows[3][2]  # overwrite one entry, skewing a block-row multiset
     corrupted = StableGraph(
         graph=LabeledGraph.from_rows(rows), cells=x.cells, trace=x.trace
