@@ -2,7 +2,9 @@
 
 Subcommands: stabilize, bind, iso, orbits, harness {agreement, orbit-check,
 lemmas}, bench. The iso exit code is 0 for isomorphic, 1 for non-isomorphic,
-2 for any error (including an exhausted oracle budget).
+2 for any error (including an exhausted oracle budget). harness exits 0 when
+no case disagrees, 1 when one does (its counterexample is in the report),
+and 2 for any error. Every other subcommand exits 0, or 2 for an error.
 """
 from __future__ import annotations
 

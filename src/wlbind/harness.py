@@ -13,9 +13,8 @@ import json
 import random
 import statistics
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -38,19 +37,6 @@ from .wl import (
 MAX_ENUM_ORDER = 7
 MAX_SWEEP_ORDER = 6
 MAX_BENCH_SIZE = 24
-
-
-@dataclass(frozen=True)
-class CorpusSpec:
-    """What graphs an experiment runs on.
-
-    source is "enumerated" (exhaustive up to isomorphism), ("random",
-    count, edge_probability), or ("files", [paths...]).
-    """
-
-    max_n: int
-    connected_only: bool = True
-    source: object = "enumerated"
 
 
 def _pair_slots(n: int) -> list[tuple[int, int]]:
@@ -122,36 +108,6 @@ def random_connected_graph(n: int, rng: random.Random, edge_probability: float =
             return g
 
 
-def build_corpus(spec: CorpusSpec, seed: Optional[int] = None) -> dict[int, list[SimpleGraph]]:
-    """Per-order graph lists for an experiment."""
-    if spec.source == "enumerated":
-        return {
-            n: enumerate_graphs(n, spec.connected_only)
-            for n in range(2, spec.max_n + 1)
-        }
-    if isinstance(spec.source, tuple) and spec.source and spec.source[0] == "random":
-        _, count, p = spec.source
-        rng = random.Random(seed)
-        corpus: dict[int, list[SimpleGraph]] = {}
-        for _ in range(count):
-            n = rng.randint(2, spec.max_n)
-            corpus.setdefault(n, []).append(random_connected_graph(n, rng, p))
-        return {n: corpus[n] for n in sorted(corpus)}
-    if isinstance(spec.source, tuple) and spec.source and spec.source[0] == "files":
-        corpus = {}
-        for path in spec.source[1]:
-            for line in Path(path).read_text().splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                g = parse_graph6(line)
-                if spec.connected_only and not is_connected(g):
-                    continue
-                corpus.setdefault(g.order, []).append(g)
-        return {n: corpus[n] for n in sorted(corpus)}
-    raise ValueError(f"unknown corpus source {spec.source!r}")
-
-
 def _g6(g: SimpleGraph) -> str:
     return encode_graph6(g).decode("ascii")
 
@@ -181,97 +137,105 @@ def _finish_timing(report: dict, started: float, case_ms: list[float]) -> dict:
     return report
 
 
-def run_agreement(max_n: int, budget: Optional[int] = None) -> dict:
-    """Procedure-vs-oracle sweep over all unordered pairs (self-pairs included)
-    of equal-order connected graphs up to max_n."""
-    if not 2 <= max_n <= MAX_SWEEP_ORDER:
-        raise ValueError(f"agreement sweep supports 2 <= max_n <= {MAX_SWEEP_ORDER}")
-    started = time.perf_counter()
-    corpus = build_corpus(CorpusSpec(max_n=max_n))
-    report = _new_report("agreement", None, {n: len(gs) for n, gs in corpus.items()})
-    case_ms: list[float] = []
+# One case of a sweep: its report entry, the fields of its counterexample
+# record beyond id and graphs (None unless the case disagrees), and the
+# milliseconds it is timed at.
+_Case = tuple[dict, Optional[dict], float]
 
+
+def _sweep(
+    experiment: str, max_n: int, cases: Callable[[int, list[SimpleGraph]], Iterator[_Case]]
+) -> dict:
+    """Run an experiment on every connected graph of order 2..max_n, one per
+    isomorphism class; cases(n, graphs) yields the cases of one order."""
+    if not 2 <= max_n <= MAX_SWEEP_ORDER:
+        raise ValueError(f"{experiment} sweep supports 2 <= max_n <= {MAX_SWEEP_ORDER}")
+    started = time.perf_counter()
+    corpus = {n: enumerate_graphs(n) for n in range(2, max_n + 1)}
+    report = _new_report(experiment, None, {n: len(gs) for n, gs in corpus.items()})
+    case_ms: list[float] = []
     for n, graphs in corpus.items():
+        for case, record, ms in cases(n, graphs):
+            report["cases"].append(case)
+            case_ms.append(ms)
+            if record is not None:
+                report["counterexamples"].append(
+                    {"id": case["id"], "graphs": case["graphs"], **record}
+                )
+    return _finish_timing(report, started, case_ms)
+
+
+def _skipped(case: dict, exc: BudgetExceeded, oracle: bool = True) -> dict:
+    """case marked as skipped: the referee's search ran out of its budget."""
+    if oracle:
+        case["oracle"] = "skipped"
+    case["agree"] = None
+    case["skip_reason"] = str(exc)
+    return case
+
+
+def run_agreement(max_n: int) -> dict:
+    """Procedure-vs-oracle sweep over all unordered pairs (self-pairs included)
+    of equal-order connected graphs up to max_n. A case is timed by its
+    decision alone."""
+
+    def cases(n: int, graphs: list[SimpleGraph]) -> Iterator[_Case]:
         for i in range(len(graphs)):
             for j in range(i, len(graphs)):
                 g, h = graphs[i], graphs[j]
                 verdict = decide_iso(g, h)
-                case_ms.append(verdict.timing_ms)
                 case = {
                     "id": f"n{n}:{i}-{j}",
                     "graphs": [_g6(g), _g6(h)],
                     "gi": "iso" if verdict.isomorphic else "noniso",
                 }
                 try:
-                    witness = find_isomorphism(g, h, budget)
+                    witness = find_isomorphism(g, h)
                 except BudgetExceeded as exc:
-                    case["oracle"] = "skipped"
-                    case["agree"] = None
-                    case["skip_reason"] = str(exc)
-                    report["cases"].append(case)
+                    yield _skipped(case, exc), None, verdict.timing_ms
                     continue
                 case["oracle"] = "iso" if witness is not None else "noniso"
                 case["agree"] = (witness is not None) == verdict.isomorphic
-                report["cases"].append(case)
-                if not case["agree"]:
-                    report["counterexamples"].append(
-                        {
-                            "kind": "agreement",
-                            "id": case["id"],
-                            "graphs": case["graphs"],
-                            "gi": case["gi"],
-                            "oracle": case["oracle"],
-                            "witness": list(witness.images) if witness else None,
-                            "shared_basic_cells": [list(c) for c in verdict.shared_basic_cells],
-                            "stable_dim": verdict.stable_dim,
-                            "rounds": verdict.rounds,
-                        }
-                    )
-    return _finish_timing(report, started, case_ms)
+                record = None if case["agree"] else {
+                    "kind": "agreement",
+                    "gi": case["gi"],
+                    "oracle": case["oracle"],
+                    "witness": list(witness.images) if witness else None,
+                    "shared_basic_cells": [list(c) for c in verdict.shared_basic_cells],
+                    "stable_dim": verdict.stable_dim,
+                    "rounds": verdict.rounds,
+                }
+                yield case, record, verdict.timing_ms
+
+    return _sweep("agreement", max_n, cases)
 
 
-def run_orbit_check(max_n: int, budget: Optional[int] = None) -> dict:
-    """Stable partition of each binding graph versus its true orbit partition."""
-    if not 2 <= max_n <= MAX_SWEEP_ORDER:
-        raise ValueError(f"orbit sweep supports 2 <= max_n <= {MAX_SWEEP_ORDER}")
-    started = time.perf_counter()
-    corpus = build_corpus(CorpusSpec(max_n=max_n))
-    report = _new_report("orbit-check", None, {n: len(gs) for n, gs in corpus.items()})
-    case_ms: list[float] = []
+def run_orbit_check(max_n: int) -> dict:
+    """Stable partition of each binding graph versus its true orbit partition.
+    A case is timed from bind through the oracle."""
 
-    for n, graphs in corpus.items():
+    def cases(n: int, graphs: list[SimpleGraph]) -> Iterator[_Case]:
         for i, g in enumerate(graphs):
             t0 = time.perf_counter()
             b = bind(g)
             x = stabilize(b.graph)
             case = {"id": f"n{n}:{i}", "graphs": [_g6(g)], "gi": _cells_json(x.cells)}
             try:
-                orbits = orbit_partition(b, budget)
+                orbits = orbit_partition(b)
             except BudgetExceeded as exc:
-                case["oracle"] = "skipped"
-                case["agree"] = None
-                case["skip_reason"] = str(exc)
-                report["cases"].append(case)
-                case_ms.append((time.perf_counter() - t0) * 1000.0)
+                yield _skipped(case, exc), None, (time.perf_counter() - t0) * 1000.0
                 continue
             case["oracle"] = _cells_json(orbits)
             case["agree"] = x.cells == orbits
             # colors are automorphism-invariant, so cells must at least be
             # unions of orbits even if the headline claim fails
             case["cells_are_orbit_unions"] = orbits.refines(x.cells)
-            report["cases"].append(case)
-            case_ms.append((time.perf_counter() - t0) * 1000.0)
-            if not case["agree"]:
-                report["counterexamples"].append(
-                    {
-                        "kind": "orbit",
-                        "id": case["id"],
-                        "graphs": case["graphs"],
-                        "wl_cells": case["gi"],
-                        "oracle_orbits": case["oracle"],
-                    }
-                )
-    return _finish_timing(report, started, case_ms)
+            record = None if case["agree"] else {
+                "kind": "orbit", "wl_cells": case["gi"], "oracle_orbits": case["oracle"]
+            }
+            yield case, record, (time.perf_counter() - t0) * 1000.0
+
+    return _sweep("orbit-check", max_n, cases)
 
 
 def _subset_family(num_cells: int) -> list[tuple[int, ...]]:
@@ -351,8 +315,8 @@ def _check_pair_label_equivalences(b: BindingGraph, x: StableGraph) -> bool:
     return all(len({f[k] for f in feats}) == len(feats) for k in range(3))
 
 
-def _check_basic_cells_are_orbits(b: BindingGraph, x: StableGraph, budget: Optional[int]) -> bool:
-    orbits = {frozenset(c) for c in orbit_partition(b.graph, budget).cells}
+def _check_basic_cells_are_orbits(b: BindingGraph, x: StableGraph) -> bool:
+    orbits = {frozenset(c) for c in orbit_partition(b.graph).cells}
     classes = classify_cells(b, x.cells)
     return all(
         frozenset(cell) in orbits
@@ -365,7 +329,7 @@ def _check_no_mixed_cells(b: BindingGraph, x: StableGraph) -> bool:
     return MIXED not in classify_cells(b, x.cells)
 
 
-def claim_checks(g: SimpleGraph, budget: Optional[int] = None) -> dict[str, Callable[[], bool]]:
+def claim_checks(g: SimpleGraph) -> dict[str, Callable[[], bool]]:
     """The per-graph structural claims, keyed by name. Each entry is a thunk
     so a single claim can be replayed in isolation."""
     n = g.order
@@ -378,7 +342,7 @@ def claim_checks(g: SimpleGraph, budget: Optional[int] = None) -> dict[str, Call
         "restriction-stability": lambda: _check_restriction(plain),
         "restriction-stability-binding": lambda: _check_restriction(x),
         "binding-edge-color-separation": lambda: _check_edge_color_separation(b, x),
-        "basic-cells-are-orbits": lambda: _check_basic_cells_are_orbits(b, x, budget),
+        "basic-cells-are-orbits": lambda: _check_basic_cells_are_orbits(b, x),
     }
     if n > 2:
         checks["phi-graph-equivalence"] = lambda: _check_phi(b, x)
@@ -388,42 +352,25 @@ def claim_checks(g: SimpleGraph, budget: Optional[int] = None) -> dict[str, Call
     return checks
 
 
-def run_lemma_suite(max_n: int, budget: Optional[int] = None) -> dict:
-    """Per-graph structural invariants, emitted as a (claim, graph) matrix."""
-    if not 2 <= max_n <= MAX_SWEEP_ORDER:
-        raise ValueError(f"lemma sweep supports 2 <= max_n <= {MAX_SWEEP_ORDER}")
-    started = time.perf_counter()
-    corpus = build_corpus(CorpusSpec(max_n=max_n))
-    report = _new_report("lemmas", None, {n: len(gs) for n, gs in corpus.items()})
-    case_ms: list[float] = []
+def run_lemma_suite(max_n: int) -> dict:
+    """Per-graph structural invariants, emitted as a (claim, graph) matrix.
+    A case is timed by its claim alone."""
 
-    for n, graphs in corpus.items():
+    def cases(n: int, graphs: list[SimpleGraph]) -> Iterator[_Case]:
         for i, g in enumerate(graphs):
-            gid = f"n{n}:{i}"
             g6 = _g6(g)
-            for claim, fn in claim_checks(g, budget).items():
+            for claim, check in claim_checks(g).items():
+                case = {"id": f"{claim}:n{n}:{i}", "graphs": [g6], "claim": claim}
                 t0 = time.perf_counter()
                 try:
-                    ok = fn()
-                    skip = None
+                    case["agree"] = check()
                 except BudgetExceeded as exc:
-                    ok = None
-                    skip = str(exc)
-                case = {
-                    "id": f"{claim}:{gid}",
-                    "graphs": [g6],
-                    "claim": claim,
-                    "agree": ok,
-                }
-                if skip is not None:
-                    case["skip_reason"] = skip
-                report["cases"].append(case)
-                case_ms.append((time.perf_counter() - t0) * 1000.0)
-                if ok is False:
-                    report["counterexamples"].append(
-                        {"kind": "lemma", "id": case["id"], "graphs": [g6], "claim": claim}
-                    )
-    return _finish_timing(report, started, case_ms)
+                    _skipped(case, exc, oracle=False)
+                ms = (time.perf_counter() - t0) * 1000.0
+                record = {"kind": "lemma", "claim": claim} if case["agree"] is False else None
+                yield case, record, ms
+
+    return _sweep("lemmas", max_n, cases)
 
 
 def bench_scaling(
@@ -544,7 +491,7 @@ def load_report(path: str | Path) -> dict:
         raise OSError(f"failed to read report from {path}: {exc}") from exc
 
 
-def verify_counterexample(record: dict, budget: Optional[int] = None) -> bool:
+def verify_counterexample(record: dict) -> bool:
     """Replay a counterexample from nothing but its own contents."""
     kind = record.get("kind")
     graphs = [parse_graph6(s) for s in record["graphs"]]
@@ -560,14 +507,14 @@ def verify_counterexample(record: dict, budget: Optional[int] = None) -> bool:
                 return False
             oracle = "iso"
         else:
-            oracle = "iso" if find_isomorphism(g, h, budget) is not None else "noniso"
+            oracle = "iso" if find_isomorphism(g, h) is not None else "noniso"
         return oracle == record["oracle"] and gi != oracle
     if kind == "orbit":
         (g,) = graphs
         b = bind(g)
         x = stabilize(b.graph)
         cells = _cells_json(x.cells)
-        orbits = _cells_json(orbit_partition(b, budget))
+        orbits = _cells_json(orbit_partition(b))
         return (
             cells == record["wl_cells"]
             and orbits == record["oracle_orbits"]
@@ -575,5 +522,8 @@ def verify_counterexample(record: dict, budget: Optional[int] = None) -> bool:
         )
     if kind == "lemma":
         (g,) = graphs
-        return claim_checks(g, budget)[record["claim"]]() is False
+        check = claim_checks(g).get(record["claim"])
+        if check is None:
+            raise ValueError(f"no claim {record['claim']!r} for a graph of order {g.order}")
+        return check() is False
     raise ValueError(f"unknown counterexample kind {kind!r}")

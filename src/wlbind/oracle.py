@@ -30,8 +30,20 @@ class BudgetExceeded(RuntimeError):
 
 
 def node_budget() -> int:
+    """The search-node budget: WLBIND_ORACLE_BUDGET if set, else the default.
+
+    Raises ValueError unless the variable holds an integer >= 1.
+    """
     raw = os.environ.get(_BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_NODE_BUDGET
+    if not raw:
+        return DEFAULT_NODE_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"{_BUDGET_ENV} must be a positive integer, got {raw!r}")
+    return budget
 
 
 def _profiles(rows: list[list[int]]) -> list[tuple]:

@@ -1,27 +1,28 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from wlbind import (
     LabeledGraph,
+    Partition,
     StableGraph,
     bind,
     binding_vertex,
     cli,
     encode_graph6,
+    harness,
     is_connected,
     parse_graph6,
     stabilize,
 )
 from wlbind.cli import main as cli_main
 from wlbind.harness import (
-    CorpusSpec,
     _check_edge_color_separation,
     _check_pair_label_equivalences,
     bench_scaling,
-    build_corpus,
     claim_checks,
     emit_report,
     enumerate_graphs,
@@ -97,21 +98,6 @@ def test_random_connected_graph_seeded():
     assert g1.order == 8 and is_connected(g1)
 
 
-def test_build_corpus_sources(tmp_path):
-    enumerated = build_corpus(CorpusSpec(max_n=3))
-    assert {n: len(gs) for n, gs in enumerated.items()} == {2: 1, 3: 2}
-
-    randomized = build_corpus(CorpusSpec(max_n=5, source=("random", 7, 0.5)), seed=11)
-    assert sum(len(gs) for gs in randomized.values()) == 7
-    assert all(is_connected(g) for gs in randomized.values() for g in gs)
-
-    lines = "\n".join(encode_graph6(g).decode() for g in enumerate_graphs(4))
-    f = tmp_path / "corpus.g6"
-    f.write_text(lines + "\n")
-    from_file = build_corpus(CorpusSpec(max_n=4, source=("files", [str(f)])))
-    assert len(from_file[4]) == 6
-
-
 # --- experiments ----------------------------------------------------------
 
 
@@ -134,10 +120,11 @@ def test_agreement_counts_balance():
     assert skipped == 0 and disagree == 0
 
 
-def test_agreement_skip_on_budget():
+def test_agreement_skip_on_budget(monkeypatch):
     # pairs ruled out by the profile filter cost no search nodes, so only the
     # pairs needing actual search become skipped
-    r = run_agreement(4, budget=1)
+    monkeypatch.setenv("WLBIND_ORACLE_BUDGET", "1")
+    r = run_agreement(4)
     agree, disagree, skipped = case_counts(r)
     assert skipped > 0
     assert agree + disagree + skipped == len(r["cases"])
@@ -263,6 +250,67 @@ def test_verify_counterexample_rejects_fabrications():
     assert not verify_counterexample(fake_orbit)
     with pytest.raises(ValueError):
         verify_counterexample({"kind": "nonsense", "graphs": [g6]})
+    with pytest.raises(ValueError, match="bogus"):
+        verify_counterexample({"kind": "lemma", "graphs": [g6], "claim": "bogus"})
+    with pytest.raises(ValueError, match="order 3"):  # claimed only for order > 3
+        verify_counterexample({"kind": "lemma", "graphs": [g6], "claim": "no-mixed-cells"})
+
+
+# --- positive controls: an engine that lies must leave a replayable record ---
+
+
+def _replays_only_under_patch(monkeypatch, records):
+    assert records and all(verify_counterexample(r) for r in records)
+    monkeypatch.undo()
+    assert not any(verify_counterexample(r) for r in records)
+
+
+def test_agreement_records_a_flipped_verdict(monkeypatch):
+    decide = harness.decide_iso
+
+    def flipped_on_distinct_pair(g, h):
+        verdict = decide(g, h)
+        return replace(verdict, isomorphic=not verdict.isomorphic) if g != h else verdict
+
+    monkeypatch.setattr(harness, "decide_iso", flipped_on_distinct_pair)
+    r = run_agreement(3)  # P3 against K3 is the only pair of distinct graphs
+    assert case_counts(r) == (3, 1, 0)
+    (record,) = r["counterexamples"]
+    assert record["kind"] == "agreement" and record["id"] == "n3:0-1"
+    assert (record["gi"], record["oracle"], record["witness"]) == ("iso", "noniso", None)
+    _replays_only_under_patch(monkeypatch, [record])
+
+
+def test_orbit_check_records_wrong_cells(monkeypatch):
+    stable = harness.stabilize
+    target = bind(k(3)).graph
+
+    def discrete_on_target(g):
+        x = stable(g)
+        if g != target:
+            return x
+        return StableGraph(graph=x.graph, cells=Partition.discrete(g.order), trace=x.trace)
+
+    monkeypatch.setattr(harness, "stabilize", discrete_on_target)
+    r = run_orbit_check(3)
+    assert case_counts(r) == (2, 1, 0)
+    (record,) = r["counterexamples"]
+    assert record["kind"] == "orbit" and record["graphs"] == [encode_graph6(k(3)).decode()]
+    assert record["wl_cells"] == [[v] for v in range(1, 7)]
+    assert record["oracle_orbits"] == [[1, 2, 3], [4, 5, 6]]
+    _replays_only_under_patch(monkeypatch, [record])
+
+
+def test_lemma_suite_records_a_failed_claim(monkeypatch):
+    monkeypatch.setattr(harness, "_check_phi", lambda b, x: False)
+    r = run_lemma_suite(3)
+    failed = [c for c in r["cases"] if c["agree"] is False]
+    assert {c["claim"] for c in failed} == {"phi-graph-equivalence"}
+    assert len(failed) == 2  # both graphs of order 3; order 2 has no phi claim
+    assert [rec["id"] for rec in r["counterexamples"]] == [c["id"] for c in failed]
+    for record in r["counterexamples"]:
+        assert record["kind"] == "lemma" and record["claim"] == "phi-graph-equivalence"
+    _replays_only_under_patch(monkeypatch, r["counterexamples"])
 
 
 # --- bench -----------------------------------------------------------------

@@ -16,7 +16,8 @@ from wlbind import (
     orbit_partition,
     stabilize,
 )
-from wlbind.oracle import _Search
+from wlbind.cli import main as cli_main
+from wlbind.oracle import _Search, node_budget
 
 from helpers import (
     brute_force_aut,
@@ -151,12 +152,25 @@ def test_budget_exhaustion_raises():
 
 
 def test_budget_env_override(monkeypatch):
-    from wlbind.oracle import node_budget
-
     monkeypatch.setenv("WLBIND_ORACLE_BUDGET", "123")
     assert node_budget() == 123
+    monkeypatch.setenv("WLBIND_ORACLE_BUDGET", " 5 ")
+    assert node_budget() == 5
     monkeypatch.delenv("WLBIND_ORACLE_BUDGET")
     assert node_budget() == 10_000_000
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_budget_env_rejects_non_positive_integers(monkeypatch, capsys, tmp_path, raw):
+    monkeypatch.setenv("WLBIND_ORACLE_BUDGET", raw)
+    with pytest.raises(ValueError, match="WLBIND_ORACLE_BUDGET must be a positive integer"):
+        node_budget()
+    with pytest.raises(ValueError, match="WLBIND_ORACLE_BUDGET"):
+        find_isomorphism(k(3), k(3))
+    out = tmp_path / "agreement.json"
+    assert cli_main(["harness", "agreement", "--max-n", "3", "--out", str(out)]) == 2
+    assert "error: WLBIND_ORACLE_BUDGET must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _recursive_search(

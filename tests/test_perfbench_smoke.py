@@ -36,3 +36,7 @@ def test_traced_benchmark_run_ends_with_its_result():
 
 def test_traced_noniso_benchmark_run_ends_with_its_result():
     _check_traced_run("decide-noniso")
+
+
+def test_traced_lemma_benchmark_run_ends_with_its_result():
+    _check_traced_run("lemmas-n6")  # the workload that calls harness.claim_checks
