@@ -1,13 +1,16 @@
 """Vectorized hash rounds and the one exact check behind stabilization.
 
-A hash round keys every entry (i, j) of the color matrix on the pair
-(old color, h), where h is a deterministic 64-bit content hash of the
-multiset {(m[i,k], m[k,j]) : k} of ordered color pairs, and numbers the
-classes by one sort on a 64-bit key of the pair (by a two-key sort if two
-old colors ever share a key). Keying on the old color makes every round
-refine the one before it, so a hash collision can only merge classes that
-the exact multisets would separate: every partition is at least as coarse
-as the exact one.
+A hash round keys every entry (i, j) of the color matrix on its old color
+and h, the low 38 bits of a deterministic content hash of the multiset
+{(m[i,k], m[k,j]) : k} of ordered color pairs, and numbers the classes by
+one sort on the 64-bit key h << 26 | old color (_rank). A color is below
+N^2 <= 2^26, so the key holds it exactly: no round merges two colors, and
+each refines the one before it. Every partition along the way is thus at
+least as coarse as the exact stable partition P*; a hash collision inside
+one class only postpones a split to a later round. The partition that
+passes the exact check (or the orbit certificate) is a fixpoint of the
+exact refinement that refines the start, so it is at least as fine as P*,
+and the two are equal.
 
 The hash is two float64 matrix products of integer color weights below
 2^20, so it runs on BLAS and every sum in it is an exact integer up to
@@ -71,7 +74,8 @@ _SEEDS = np.array(
 )
 _WEIGHT_SHIFT = np.uint64(64 - 20)  # a weight is the top 20 bits of a mixed color
 _PROJECT = np.uint64(0xFF51AFD7ED558CCD)  # odd: hash = h0 * _PROJECT + h1 mod 2^64
-_KEY = np.uint64(0xC4CEB9FE1A85EC53)  # odd: class key = hash + old color * _KEY mod 2^64
+_COLOR_BITS = np.uint64(26)  # low bits of a class key: the old color, exactly
+assert MAX_ORDER**2 <= 1 << int(_COLOR_BITS)  # every color below N^2 fits the key
 _TABLE_COLORS = 1 << 12  # colors whose weights are drawn once, at import (128 KiB)
 
 
@@ -130,50 +134,26 @@ def _pair_hash(m: np.ndarray) -> np.ndarray:
     return h
 
 
-def _dense_labels(order: np.ndarray, change: np.ndarray) -> tuple[np.ndarray, int]:
-    """Labels for entries sorted by order, with a new class at each change."""
+def _rank(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense labels numbering the distinct (major, minor) pairs in ascending
+    order of the key minor << 26 | major.
+
+    major: int64 in [0, 2^26), held exactly; minor: only its low 38 bits
+    are read (the shift drops the rest), so a 64-bit hash may be passed
+    whole. One sort numbers the pairs, by content alone.
+    """
+    key = minor.astype(np.uint64, copy=False) << _COLOR_BITS
+    key |= major.astype(np.uint64)
+    order = np.argsort(key)
+    key = key[order]
+    change = np.empty(order.size, dtype=bool)
+    change[0] = True
+    np.not_equal(key[1:], key[:-1], out=change[1:])
+    del key  # the N^2-sized temporaries are dropped as soon as they are used
     ranks = np.cumsum(change) - 1
     labels = np.empty(order.size, dtype=np.int64)
     labels[order] = ranks
     return labels, int(ranks[-1]) + 1
-
-
-def _lexsort_rank(*keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """Dense labels numbering the distinct key tuples (first key major) in ascending order."""
-    order = np.lexsort(keys[::-1])
-    change = np.zeros(order.size, dtype=bool)
-    change[0] = True
-    for key in keys:
-        k = key[order]
-        change[1:] |= k[1:] != k[:-1]
-    return _dense_labels(order, change)
-
-
-def _rank(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, int]:
-    """Dense labels numbering the distinct (major, minor) pairs.
-
-    major: int64 >= 0; minor: values below 2^64. One sort on the key
-    minor + major * _KEY mod 2^64, which for a fixed major is a bijection
-    of minor, so two pairs can share a key only with different majors. If
-    some run of equal keys holds two majors, the two-key sort numbers the
-    pairs instead. Either way the numbering depends on content alone.
-    """
-    key = major.astype(np.uint64)
-    key *= _KEY
-    key += minor.astype(np.uint64, copy=False)
-    order = np.argsort(key)
-    key = key[order]
-    same = key[1:] == key[:-1]
-    del key  # the N^2-sized temporaries are dropped as soon as they are used
-    a = major[order]
-    collided = (same & (a[1:] != a[:-1])).any()
-    del a
-    if collided:
-        return _lexsort_rank(major, minor)
-    change = np.empty(order.size, dtype=bool)
-    change[0] = True
-    np.logical_not(same, out=change[1:])
-    return _dense_labels(order, change)
 
 
 def refine_once(m: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
@@ -181,7 +161,8 @@ def refine_once(m: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
 
     m: (n, n) int64 with colors dense in [0, dim). Returns the relabeled
     matrix with classes dense in [0, K) and K >= dim itself. Entries share a
-    class when they share the old color and the pair-multiset hash.
+    class when they share the old color and the low 38 bits of the
+    pair-multiset hash.
     """
     labels, count = _rank(m.ravel(), _pair_hash(m).ravel())
     return labels.reshape(m.shape), count
@@ -301,12 +282,14 @@ def _orbit_labels(perms: list[np.ndarray], n: int, entries: bool = False) -> np.
 
 def _split(cells: np.ndarray, m: np.ndarray, v: int) -> np.ndarray:
     """cells refined by each vertex's colors to and from v, with v alone in
-    its cell; numbered by content, so automorphisms commute with it."""
+    its cell; numbered by content, so automorphisms commute with it. The
+    key holds 38 bits of the mixed pair code: a collision can only leave two
+    vertices in one cell, which costs at most a candidate (each is verified)."""
     row = m[v] + 1
     col = m[:, v] + 1
     row[v] = col[v] = 0
     radix = max(int(row.max()), int(col.max())) + 1  # below 2^27: the pair code fits
-    return _rank(cells, row * radix + col)[0]
+    return _rank(cells, _mix64((row * radix + col).astype(np.uint64)))[0]
 
 
 def _search_witness(
@@ -329,7 +312,7 @@ def _search_witness(
     only maps it accepts are returned. At most budget splits are made.
     """
     n = m.shape[0]
-    cells = _lexsort_rank(m.diagonal())[0]
+    cells = _rank(m.diagonal(), np.zeros(n, dtype=np.uint64))[0]
     # the first path, per level: the cells before its split, the number of
     # the cell it splits, that cell's members and the cell sizes after it
     nodes, targets, members, sizes = [], [], [], []

@@ -191,15 +191,14 @@ class Partition:
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if any(len(c) == 0 for c in self.cells):
+            raise ValueError("empty cell")
         normalized = tuple(sorted((tuple(sorted(c)) for c in self.cells), key=lambda c: c[0]))
         object.__setattr__(self, "cells", normalized)
         flat = [v for c in normalized for v in c]
         n = len(flat)
         if sorted(flat) != list(range(1, n + 1)):
             raise ValueError(f"cells do not cover [n] exactly once: {self.cells}")
-        for c in normalized:
-            if not c:
-                raise ValueError("empty cell")
 
     @classmethod
     def from_cells(cls, cells: Iterable[Iterable[int]]) -> "Partition":

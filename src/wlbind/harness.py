@@ -92,8 +92,8 @@ def enumerate_graphs(n: int, connected_only: bool = True) -> list[SimpleGraph]:
     return out
 
 
-def random_connected_graph(n: int, rng: random.Random, edge_probability: float = 0.5) -> SimpleGraph:
-    """G(n, p) rejection-sampled until connected."""
+def random_connected_graph(n: int, rng: random.Random) -> SimpleGraph:
+    """G(n, 1/2) rejection-sampled until connected."""
     if n == 1:
         return SimpleGraph.from_edges(1, [])
     while True:
@@ -101,7 +101,7 @@ def random_connected_graph(n: int, rng: random.Random, edge_probability: float =
             (i, j)
             for i in range(1, n + 1)
             for j in range(i + 1, n + 1)
-            if rng.random() < edge_probability
+            if rng.random() < 0.5
         ]
         g = SimpleGraph.from_edges(n, edges)
         if is_connected(g):
@@ -377,7 +377,6 @@ def bench_scaling(
     sizes: list[int],
     samples: int,
     seed: int = 0,
-    edge_probability: float = 0.5,
 ) -> dict:
     """Time the decision procedure on both verdicts at each size.
 
@@ -403,8 +402,8 @@ def bench_scaling(
     for size in sizes:
         times: list[float] = []
         for s in range(samples):
-            g = random_connected_graph(size, rng, edge_probability)
-            h = random_connected_graph(size, rng, edge_probability)
+            g = random_connected_graph(size, rng)
+            h = random_connected_graph(size, rng)
             images = list(range(1, size + 1))
             rng.shuffle(images)
             planted = apply_permutation(g, Permutation(tuple(images)))
@@ -491,9 +490,29 @@ def load_report(path: str | Path) -> dict:
         raise OSError(f"failed to read report from {path}: {exc}") from exc
 
 
+# per counterexample kind: the number of graphs and the fields a replay reads
+_RECORD_SHAPES = {
+    "agreement": (2, ("gi", "witness", "oracle")),
+    "orbit": (1, ("wl_cells", "oracle_orbits")),
+    "lemma": (1, ("claim",)),
+}
+
+
 def verify_counterexample(record: dict) -> bool:
-    """Replay a counterexample from nothing but its own contents."""
+    """Replay a counterexample from nothing but its own contents.
+
+    A record of an unknown kind, without a field its kind reads, or with
+    the wrong number of graphs raises ValueError.
+    """
     kind = record.get("kind")
+    if kind not in _RECORD_SHAPES:
+        raise ValueError(f"unknown counterexample kind {kind!r}")
+    count, fields = _RECORD_SHAPES[kind]
+    for field in ("graphs", *fields):
+        if field not in record:
+            raise ValueError(f"{kind} record has no {field!r} field")
+    if len(record["graphs"]) != count:
+        raise ValueError(f"{kind} record needs {count} graph(s), got {len(record['graphs'])}")
     graphs = [parse_graph6(s) for s in record["graphs"]]
     if kind == "agreement":
         g, h = graphs
@@ -520,10 +539,8 @@ def verify_counterexample(record: dict) -> bool:
             and orbits == record["oracle_orbits"]
             and cells != orbits
         )
-    if kind == "lemma":
-        (g,) = graphs
-        check = claim_checks(g).get(record["claim"])
-        if check is None:
-            raise ValueError(f"no claim {record['claim']!r} for a graph of order {g.order}")
-        return check() is False
-    raise ValueError(f"unknown counterexample kind {kind!r}")
+    (g,) = graphs  # a lemma record
+    check = claim_checks(g).get(record["claim"])
+    if check is None:
+        raise ValueError(f"no claim {record['claim']!r} for a graph of order {g.order}")
+    return check() is False

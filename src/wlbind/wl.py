@@ -25,7 +25,7 @@ from .graphs import LabeledGraph, Partition
 Signature = tuple[tuple[tuple[int, int], int], ...]
 
 # identifies how fresh colors are ordered, for report provenance
-CANONICALIZATION = "bilinear-hash-order-v3"
+CANONICALIZATION = "bilinear-hash-order-v4"
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,9 @@ def test_partition_normalizes_and_validates():
         Partition.from_cells([[1], [3]])
     assert Partition.discrete(3).refines(Partition.unit(3))
     assert not Partition.unit(3).refines(Partition.discrete(3))
+    for cells in [((1,), ()), ((), (1,)), ((),)]:
+        with pytest.raises(ValueError, match="empty cell"):
+            Partition(cells)
 
 
 def test_disjoint_union_small_cases():

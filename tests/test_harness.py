@@ -254,6 +254,20 @@ def test_verify_counterexample_rejects_fabrications():
         verify_counterexample({"kind": "lemma", "graphs": [g6], "claim": "bogus"})
     with pytest.raises(ValueError, match="order 3"):  # claimed only for order > 3
         verify_counterexample({"kind": "lemma", "graphs": [g6], "claim": "no-mixed-cells"})
+    # a truncated or hand-edited record names what it lacks
+    for record, missing in [
+        ({"kind": "agreement", "graphs": [g6, g6]}, "'gi'"),
+        ({"kind": "agreement", "graphs": [g6, g6], "gi": "iso", "oracle": "iso"}, "'witness'"),
+        ({"kind": "lemma", "graphs": [g6]}, "'claim'"),
+        ({"kind": "orbit", "graphs": [g6]}, "'wl_cells'"),
+        ({"kind": "orbit", "graphs": [g6], "wl_cells": [[1]]}, "'oracle_orbits'"),
+        ({"kind": "lemma", "claim": "bogus"}, "'graphs'"),
+        ({"kind": "lemma", "graphs": [g6, g6], "claim": "bogus"}, "needs 1 graph"),
+        ({**fake_agreement, "graphs": [g6]}, "needs 2 graph"),
+        ({"graphs": [g6]}, "kind None"),
+    ]:
+        with pytest.raises(ValueError, match=missing):
+            verify_counterexample(record)
 
 
 # --- positive controls: an engine that lies must leave a replayable record ---

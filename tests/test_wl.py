@@ -360,47 +360,47 @@ def _partition_of(labels, count):
     return sorted(groups.values())
 
 
-def _count_fallbacks(monkeypatch):
-    calls = []
-    lexsort_rank = _refine._lexsort_rank
-
-    def counted(major, minor):
-        calls.append(major.size)
-        return lexsort_rank(major, minor)
-
-    monkeypatch.setattr(_refine, "_lexsort_rank", counted)
-    return calls
-
-
 @pytest.mark.parametrize("seed", range(4))
-def test_rank_matches_lexsort_partition(seed, monkeypatch):
+def test_rank_matches_lexsort_partition(seed):
     rng = np.random.default_rng(seed)
     size = 3000
     major = rng.integers(0, 40, size)
-    minor = rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False)
+    minor = rng.integers(0, 2**38, size, dtype=np.uint64, endpoint=False)
     minor[rng.integers(0, size, size // 2)] = minor[:size // 2]  # repeated pairs
-    fallbacks = _count_fallbacks(monkeypatch)
+    # the largest values the key holds; 1 and 2 differ from 0 in the top bit
+    # of major or of minor alone, and 3 repeats 0
+    major[:4] = [2**26 - 1, 2**25 - 1, 2**26 - 1, 2**26 - 1]
+    minor[:4] = [2**38 - 1, 2**38 - 1, 2**37 - 1, 2**38 - 1]
     labels, count = _refine._rank(major, minor)
     assert _partition_of(labels, count) == _reference_partition(major, minor)
-    assert fallbacks == []
+    assert len({labels[0], labels[1], labels[2]}) == 3 and labels[0] == labels[3]
 
 
-def test_rank_key_collision_takes_exact_fallback(monkeypatch):
+def test_rank_keeps_majors_apart_on_a_shared_minor():
+    """Pairs that differ in major and share a minor are the strongest
+    collision a packed key allows; they must stay in different classes."""
     rng = np.random.default_rng(7)
     size = 500
     major = rng.integers(0, 10, size)
-    minor = rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False)
+    minor = rng.integers(0, 2**38, size, dtype=np.uint64, endpoint=False)
     p, q = 3, int(np.flatnonzero(major != major[3])[0])
-    # minor' = minor + K * (major - major') mod 2^64: a different pair, the same key
-    shift = (major[[p]].astype(np.uint64) - major[[q]].astype(np.uint64)) * _refine._KEY
-    minor[q] = (minor[[p]] + shift)[0]
-    key = major.astype(np.uint64) * _refine._KEY + minor
-    assert key[p] == key[q] and major[p] != major[q]
-    fallbacks = _count_fallbacks(monkeypatch)
+    minor[q] = minor[p]
+    minor[size // 2:] = minor[0]  # half of all entries share one minor
     labels, count = _refine._rank(major, minor)
-    assert fallbacks == [size]
     assert labels[p] != labels[q]
     assert _partition_of(labels, count) == _reference_partition(major, minor)
+
+
+def test_refine_once_never_merges_two_colors(monkeypatch):
+    """With every hash equal, a round keys on the old color alone: it
+    returns m's own partition, relabeled, and adds no class."""
+    rng = random.Random(3)
+    g = bind(disjoint_union(random_connected_graph(6, rng), random_connected_graph(6, rng))).graph
+    m, dim = _refine.recognize(g.matrix)
+    monkeypatch.setattr(_refine, "_pair_hash", lambda m: np.zeros(m.shape, dtype=np.uint64))
+    labels, count = _refine.refine_once(m, dim)
+    assert count == dim
+    assert _partition_of(labels.ravel(), count) == _partition_of(m.ravel(), dim)
 
 
 # --- the fixpoint check and its automorphism witness ----------------------
