@@ -1,16 +1,17 @@
 """Vectorized hash rounds and the one exact check behind stabilization.
 
 A hash round keys every entry (i, j) of the color matrix on its old color
-and h, the low 38 bits of a deterministic content hash of the multiset
-{(m[i,k], m[k,j]) : k} of ordered color pairs, and numbers the classes by
-one sort on the 64-bit key h << 26 | old color (_rank). A color is below
-N^2 <= 2^26, so the key holds it exactly: no round merges two colors, and
-each refines the one before it. Every partition along the way is thus at
-least as coarse as the exact stable partition P*; a hash collision inside
-one class only postpones a split to a later round. The partition that
-passes the exact check (or the orbit certificate) is a fixpoint of the
-exact refinement that refines the start, so it is at least as fine as P*,
-and the two are equal.
+and h, a deterministic content hash of the multiset {(m[i,k], m[k,j]) : k}
+of ordered color pairs, and numbers the classes by one sort on the 64-bit
+key h << b | old color (_rank), b the bit length of the largest color. A
+color is below N^2 <= 2^26, so h keeps 64 - b >= 38 bits, and the most
+where a few colors split into many classes. The key holds the color
+exactly: no round merges two colors, and each refines the one before it.
+Every partition along the way is thus at least as coarse as the exact
+stable partition P*; a hash collision inside one class only postpones a
+split to a later round. The partition that passes the exact check (or the
+orbit certificate) is a fixpoint of the exact refinement that refines the
+start, so it is at least as fine as P*, and the two are equal.
 
 The hash is two float64 matrix products of integer color weights below
 2^20, so it runs on BLAS and every sum in it is an exact integer up to
@@ -74,8 +75,8 @@ _SEEDS = np.array(
 )
 _WEIGHT_SHIFT = np.uint64(64 - 20)  # a weight is the top 20 bits of a mixed color
 _PROJECT = np.uint64(0xFF51AFD7ED558CCD)  # odd: hash = h0 * _PROJECT + h1 mod 2^64
-_COLOR_BITS = np.uint64(26)  # low bits of a class key: the old color, exactly
-assert MAX_ORDER**2 <= 1 << int(_COLOR_BITS)  # every color below N^2 fits the key
+# a color is below N^2, so it takes at most 26 bits of a class key: 38 or more stay for the hash
+assert MAX_ORDER**2 <= 1 << 26
 _TABLE_COLORS = 1 << 12  # colors whose weights are drawn once, at import (128 KiB)
 
 
@@ -136,13 +137,14 @@ def _pair_hash(m: np.ndarray) -> np.ndarray:
 
 def _rank(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, int]:
     """Dense labels numbering the distinct (major, minor) pairs in ascending
-    order of the key minor << 26 | major.
+    order of the key minor << b | major, b the bit length of max(major).
 
-    major: int64 in [0, 2^26), held exactly; minor: only its low 38 bits
-    are read (the shift drops the rest), so a 64-bit hash may be passed
-    whole. One sort numbers the pairs, by content alone.
+    major: int64 in [0, 2^26), held exactly; minor: only its low 64 - b bits
+    are read, so a 64-bit hash may be passed whole. One sort numbers the
+    pairs, by content alone.
     """
-    key = minor.astype(np.uint64, copy=False) << _COLOR_BITS
+    bits = np.uint64(int(major.max()).bit_length())
+    key = minor.astype(np.uint64, copy=False) << bits
     key |= major.astype(np.uint64)
     order = np.argsort(key)
     key = key[order]
@@ -161,8 +163,8 @@ def refine_once(m: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
 
     m: (n, n) int64 with colors dense in [0, dim). Returns the relabeled
     matrix with classes dense in [0, K) and K >= dim itself. Entries share a
-    class when they share the old color and the low 38 bits of the
-    pair-multiset hash.
+    class when they share the old color and the low 64 - b bits of the
+    pair-multiset hash, b the bit length of dim - 1.
     """
     labels, count = _rank(m.ravel(), _pair_hash(m).ravel())
     return labels.reshape(m.shape), count
@@ -282,8 +284,8 @@ def _orbit_labels(perms: list[np.ndarray], n: int, entries: bool = False) -> np.
 
 def _split(cells: np.ndarray, m: np.ndarray, v: int) -> np.ndarray:
     """cells refined by each vertex's colors to and from v, with v alone in
-    its cell; numbered by content, so automorphisms commute with it. The
-    key holds 38 bits of the mixed pair code: a collision can only leave two
+    its cell; numbered by content, so automorphisms commute with it. A key
+    collision (of 51 or more bits of the mixed pair code) leaves two
     vertices in one cell, which costs at most a candidate (each is verified)."""
     row = m[v] + 1
     col = m[:, v] + 1

@@ -391,16 +391,14 @@ def test_rank_keeps_majors_apart_on_a_shared_minor():
     assert _partition_of(labels, count) == _reference_partition(major, minor)
 
 
-def test_refine_once_never_merges_two_colors(monkeypatch):
-    """With every hash equal, a round keys on the old color alone: it
-    returns m's own partition, relabeled, and adds no class."""
-    rng = random.Random(3)
-    g = bind(disjoint_union(random_connected_graph(6, rng), random_connected_graph(6, rng))).graph
-    m, dim = _refine.recognize(g.matrix)
-    monkeypatch.setattr(_refine, "_pair_hash", lambda m: np.zeros(m.shape, dtype=np.uint64))
-    labels, count = _refine.refine_once(m, dim)
-    assert count == dim
-    assert _partition_of(labels.ravel(), count) == _partition_of(m.ravel(), dim)
+def test_rank_reads_more_hash_bits_below_fewer_colors():
+    """The key keeps the low 64 - b bits of minor, b the bit length of the
+    largest major: with majors below 8, minors that differ only in bit 60
+    stay apart, and bits above 64 - b are dropped."""
+    major = np.array([5, 5, 5, 7])
+    minor = np.array([1, 1 + 2**60, 1 + 2**61, 1 + 2**61], dtype=np.uint64)
+    labels, count = _refine._rank(major, minor)
+    assert count == 3 and labels[0] == labels[2] != labels[1] != labels[3]
 
 
 # --- the fixpoint check and its automorphism witness ----------------------
