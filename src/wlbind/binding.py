@@ -39,14 +39,9 @@ class BindingGraph:
         n = self.basic_count
         if not n < p <= self.order:
             raise ValueError(f"{p} is not a binding vertex (basic count {n})")
-        rank = p - n - 1
-        u = 1
-        span = n - 1
-        while rank >= span:
-            rank -= span
-            u += 1
-            span -= 1
-        return u, u + rank + 1
+        u, v = np.triu_indices(n, 1)  # binder n + r + 1 binds the r-th pair, as in bind
+        r = p - n - 1
+        return int(u[r]) + 1, int(v[r]) + 1
 
 
 def bind(g: SimpleGraph) -> BindingGraph:

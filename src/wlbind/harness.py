@@ -221,7 +221,7 @@ def run_orbit_check(max_n: int) -> dict:
             x = stabilize(b.graph)
             case = {"id": f"n{n}:{i}", "graphs": [_g6(g)], "gi": _cells_json(x.cells)}
             try:
-                orbits = orbit_partition(b)
+                orbits = orbit_partition(b.graph)
             except BudgetExceeded as exc:
                 yield _skipped(case, exc), None, (time.perf_counter() - t0) * 1000.0
                 continue
@@ -533,7 +533,7 @@ def verify_counterexample(record: dict) -> bool:
         b = bind(g)
         x = stabilize(b.graph)
         cells = _cells_json(x.cells)
-        orbits = _cells_json(orbit_partition(b))
+        orbits = _cells_json(orbit_partition(b.graph))
         return (
             cells == record["wl_cells"]
             and orbits == record["oracle_orbits"]

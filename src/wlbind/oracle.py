@@ -1,17 +1,18 @@
 """Brute-force isomorphism, automorphism groups, and orbits for small graphs.
 
 This module is the independent referee for everything the refinement
-engine claims, so it deliberately shares no machinery with it: plain
-backtracking over color/degree-compatible assignments, an explicit node
-budget instead of silent slowness, and witnesses that re-verify by direct
-matrix comparison.
+engine claims, so it deliberately shares no machinery with it and
+imports nothing from the package but the graph types: plain backtracking
+over color/degree-compatible assignments, an explicit node budget
+(WLBIND_ORACLE_BUDGET) instead of silent slowness, and witnesses that
+re-verify by direct matrix comparison. A binding graph is refereed like
+any other graph, by searching its own matrix.
 """
 from __future__ import annotations
 
 import os
-from typing import Optional, Union
+from typing import Optional
 
-from .binding import BindingGraph, extend_automorphism
 from .graphs import LabeledGraph, Partition, Permutation, apply_permutation
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -129,53 +130,33 @@ class _Search:
         return True
 
 
-def find_isomorphism(
-    g: LabeledGraph, h: LabeledGraph, budget: Optional[int] = None
-) -> Optional[Permutation]:
+def find_isomorphism(g: LabeledGraph, h: LabeledGraph) -> Optional[Permutation]:
     """A permutation p with apply_permutation(h, p) == g, or None.
 
     Order mismatch returns None immediately. A search that would exceed
-    the node budget raises BudgetExceeded rather than guessing.
+    the node budget raises BudgetExceeded rather than guessing, and a
+    witness that fails the direct matrix comparison raises RuntimeError.
     """
     if g.order != h.order:
         return None
-    found = _Search(g, h, budget if budget is not None else node_budget()).run(find_all=False)
+    found = _Search(g, h, node_budget()).run(find_all=False)
     if not found:
         return None
     p = found[0]
-    assert apply_permutation(h, p) == g
+    if apply_permutation(h, p) != g:
+        raise RuntimeError("oracle witness does not map h onto g")
     return p
 
 
-def automorphism_group(
-    g: LabeledGraph, budget: Optional[int] = None
-) -> list[Permutation]:
+def automorphism_group(g: LabeledGraph) -> list[Permutation]:
     """Every automorphism of g, ordered lexicographically by image tuples."""
-    found = _Search(g, g, budget if budget is not None else node_budget()).run(find_all=True)
+    found = _Search(g, g, node_budget()).run(find_all=True)
     return sorted(found, key=lambda p: p.images)
 
 
-def orbit_partition(
-    g: Union[LabeledGraph, BindingGraph], budget: Optional[int] = None
-) -> Partition:
-    """Orbits of the automorphism group.
-
-    For a BindingGraph with more than 3 basic vertices the group is obtained
-    by lifting the basic graph's automorphisms (each lift is one, and the
-    lifting is onto in that regime); smaller binding graphs are enumerated
-    directly because the lift can miss automorphisms there.
-    """
-    if isinstance(g, BindingGraph):
-        if g.basic_count <= 3:
-            group = automorphism_group(g.graph, budget)
-        else:
-            basic_group = automorphism_group(g.basic_graph(), budget)
-            group = [extend_automorphism(g, s) for s in basic_group]
-        n = g.order
-    else:
-        group = automorphism_group(g, budget)
-        n = g.order
-
+def orbit_partition(g: LabeledGraph) -> Partition:
+    """Orbits of the automorphism group of g."""
+    n = g.order
     parent = list(range(n + 1))
 
     def find(x: int) -> int:
@@ -184,7 +165,7 @@ def orbit_partition(
             x = parent[x]
         return x
 
-    for p in group:
+    for p in automorphism_group(g):
         for u in range(1, n + 1):
             a, b = find(u), find(p.apply(u))
             if a != b:

@@ -9,12 +9,14 @@ from wlbind import (
     MIXED,
     Permutation,
     apply_permutation,
+    automorphism_group,
     bind,
     binding_vertex,
     classify_cells,
     equivalent,
     extend_automorphism,
     find_isomorphism,
+    orbit_partition,
     phi_graph,
     stabilize,
 )
@@ -78,6 +80,9 @@ def test_bind_structure(n, data):
         assert b.graph.neighbors(p) == [u, v]
         assert b.pair_of(p) == (u, v)
     assert sorted(b.pair_index.values()) == list(range(n + 1, n1 + 1))
+    for p in (n, n1 + 1):
+        with pytest.raises(ValueError):
+            b.pair_of(p)
 
 
 def test_binding_vertex_lookup():
@@ -145,8 +150,6 @@ def test_extend_rejects_non_automorphism():
 
 
 def test_extension_lands_in_binding_aut():
-    from wlbind import automorphism_group
-
     for n in (3, 4):
         for g in connected_classes(n):
             b = bind(g)
@@ -158,6 +161,32 @@ def test_extension_lands_in_binding_aut():
                 assert tau.images in lifted_auts
                 for (u, v), p in b.pair_index.items():  # the per-pair definition
                     assert tau.apply(p) == binding_vertex(b, s.apply(u), s.apply(v))
+
+
+def _orbits_of(n: int, group) -> set[frozenset[int]]:
+    """The orbits on 1..n of the group generated by the permutations in group."""
+    orbits = {v: frozenset({v}) for v in range(1, n + 1)}
+    for s in group:
+        for v in range(1, n + 1):
+            merged = orbits[v] | orbits[s.apply(v)]
+            for w in merged:
+                orbits[w] = merged
+    return set(orbits.values())
+
+
+def test_lifted_orbits_are_the_binding_graph_orbits():
+    # the lifting lemma: for a connected basic graph of order >= 3 the lifts
+    # of its automorphisms reach every orbit of the binding graph
+    for n in (3, 4, 5, 6):
+        for g in connected_classes(n):
+            b = bind(g)
+            lifted = _orbits_of(b.order, [extend_automorphism(b, s) for s in automorphism_group(g)])
+            assert lifted == {frozenset(c) for c in orbit_partition(b.graph).cells}
+    # K2 binds to a triangle, whose rotations move the binder onto a basic vertex
+    b = bind(k(2))
+    lifted = _orbits_of(3, [extend_automorphism(b, s) for s in automorphism_group(k(2))])
+    assert lifted == {frozenset({1, 2}), frozenset({3})}
+    assert orbit_partition(b.graph).cells == ((1, 2, 3),)
 
 
 def test_bind_commutes_with_relabeling_up_to_iso():

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from wlbind import (
     orbit_partition,
     stabilize,
 )
+from wlbind import oracle
 from wlbind.cli import main as cli_main
 from wlbind.oracle import _Search, node_budget
 
@@ -111,9 +114,9 @@ def test_orbit_partition_examples():
     assert orbit_partition(path(4)).cells == ((1, 4), (2, 3))
 
 
-def test_orbit_partition_binding_uses_extension():
+def test_orbit_partition_of_binding_graph():
     b = bind(path(3))
-    orbits = orbit_partition(b)
+    orbits = orbit_partition(b.graph)
     assert orbits.cell_of(1) == (1, 3)
     assert orbits.cell_of(2) == (2,)
     # binder of the two leaves is fixed; the two leaf-center binders swap
@@ -126,29 +129,39 @@ def binding_vertex_of(b, u, v):
     return binding_vertex(b, u, v)
 
 
-def test_orbit_partition_binding_matches_direct_enumeration():
-    # covers both the direct (n <= 3) and the lifted (n = 4) paths
-    for n in (2, 3, 4):
-        for g in connected_classes(n):
-            b = bind(g)
-            via_binding = orbit_partition(b)
-            direct = orbit_partition(b.graph)
-            assert via_binding == direct
-
-
 def test_orbits_refine_stable_cells():
     for n in (3, 4, 5):
         for g in connected_classes(n):
             assert orbit_partition(g).refines(stabilize(g).cells)
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
     g = cycle(9)
     h = apply_permutation(g, Permutation((2, 3, 4, 5, 6, 7, 8, 9, 1)))
+    monkeypatch.setenv("WLBIND_ORACLE_BUDGET", "2")
     with pytest.raises(BudgetExceeded):
-        find_isomorphism(g, h, budget=2)
+        find_isomorphism(g, h)
+    monkeypatch.setenv("WLBIND_ORACLE_BUDGET", "3")
     with pytest.raises(BudgetExceeded):
-        automorphism_group(g, budget=3)
+        automorphism_group(g)
+
+
+def test_find_isomorphism_rejects_a_wrong_witness(monkeypatch):
+    # the witness check is an explicit raise, so it also runs under python -O
+    monkeypatch.setattr(_Search, "run", lambda self, find_all: [Permutation((2, 1, 3))])
+    with pytest.raises(RuntimeError, match="does not map h onto g"):
+        find_isomorphism(path(3), path(3))
+
+
+def test_oracle_imports_only_graph_types():
+    # the referee must not reach the engine it referees, directly or through binding
+    modules = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    assert {m for m in modules if m.startswith((".", "wlbind"))} == {".graphs"}
 
 
 def test_budget_env_override(monkeypatch):
