@@ -67,7 +67,7 @@ class StabilizationTrace:
 
 @dataclass(frozen=True)
 class StableGraph:
-    """A refinement fixpoint with its canonical coloring and cell partition."""
+    """A refinement fixpoint: canonical colours from stabilize, its own if certified."""
 
     graph: LabeledGraph
     cells: Partition
@@ -193,21 +193,27 @@ def stabilize(g: LabeledGraph) -> StableGraph:
         certified=certified,
         generators=generators,
     )
-    return StableGraph(graph=final, cells=_cells_from_diagonal(final), trace=trace)
+    return StableGraph(graph=final, cells=_classes(final.matrix.diagonal()), trace=trace)
 
 
-def _cells_from_diagonal(g: LabeledGraph) -> Partition:
+def _classes(colors: np.ndarray) -> Partition:
+    """Positions 1..n of a color vector grouped by equal color."""
     groups: dict[int, list[int]] = {}
-    for v, c in enumerate(g.matrix.diagonal().tolist(), 1):
+    for v, c in enumerate(colors.tolist(), 1):
         groups.setdefault(c, []).append(v)
     return Partition.from_cells(groups.values())
 
 
 def is_stable(g: LabeledGraph) -> bool:
-    """True when one exact refinement round leaves the entry partition unchanged."""
+    """True when one exact refinement round leaves the entry partition unchanged.
+
+    The diagonal is not recognized first, so colours that each hold one
+    signature can share it (both do in [[0,0,1,1],[1,1,0,0],[0,0,1,1],[1,1,0,0]]):
+    the signature partition, from a hash-only round split exactly, is
+    compared with the colour partition.
+    """
     _refine.check_order(g.order)
     m, dim = _refine.compact(_to_array(g))
-    # the exact round: entries grouped by hash alone, then split by signature
     _, hashed = np.unique(_refine._pair_hash(m), return_inverse=True)
     groups = int(hashed.max()) + 1
     labels, count, _, _ = _refine._verify_streaming(m, dim, hashed.reshape(m.shape), groups)
@@ -218,23 +224,19 @@ def is_stable(g: LabeledGraph) -> bool:
 
 
 def certify_stable(g: LabeledGraph) -> StableGraph:
-    """Wrap a fixpoint as a StableGraph after checking its invariants."""
-    if not is_stable(g):
-        raise ValueError("graph is not a refinement fixpoint")
-    n = g.order
-    m = g.matrix.tolist()
-    diag = {m[i][i] for i in range(n)}
-    off = {m[i][j] for i in range(n) for j in range(n) if i != j}
-    if diag & off:
+    """Wrap g, keeping its colours, as a StableGraph if stabilize leaves it unchanged.
+
+    A non-fixpoint runs to its fixpoint before it is rejected, which costs
+    time only on that error path. With the diagonal recognized, a colour is
+    read back from its signature (for i != j, the only walk (i, k, j) whose
+    second colour is diagonal is k = j), so stabilize's check is the whole test.
+    """
+    x = stabilize(g)
+    if x.trace.dims[0] != g.dim():  # recognize splits exactly the colours on and off it
         raise ValueError("diagonal colors leak into off-diagonal entries")
-    # fwd maps the matrix's color set onto itself, so a function is a bijection
-    fwd: dict[int, int] = {}
-    for row, col in zip(m, zip(*m)):
-        for c, ct in zip(row, col):
-            if fwd.setdefault(c, ct) != ct:
-                raise ValueError("transpose colors are not a function of forward colors")
-    trace = StabilizationTrace(rounds=0, dims=(len(diag) + len(off),))
-    return StableGraph(graph=g, cells=_cells_from_diagonal(g), trace=trace)
+    if x.dim() != x.trace.dims[0]:  # the rounds split a class
+        raise ValueError("graph is not a refinement fixpoint")
+    return StableGraph(graph=g, cells=x.cells, trace=x.trace)
 
 
 def embeds(a: LabeledGraph, b: LabeledGraph) -> bool:
@@ -263,10 +265,7 @@ def block_partition(x: StableGraph, u: int) -> Partition:
     n = x.order
     if not 1 <= u <= n:
         raise ValueError(f"vertex {u} out of range for order {n}")
-    groups: dict[int, list[int]] = {}
-    for j, c in enumerate(x.graph.matrix[u - 1].tolist(), 1):
-        groups.setdefault(c, []).append(j)
-    return Partition.from_cells(groups.values())
+    return _classes(x.graph.matrix[u - 1])
 
 
 def individualize(x: StableGraph, u: int) -> LabeledGraph:
@@ -280,7 +279,7 @@ def individualize(x: StableGraph, u: int) -> LabeledGraph:
 
 
 def restrict_to_cells(x: StableGraph, keep: Iterable[int]) -> StableGraph:
-    """Induced subgraph on a union of cells, certified as a fixpoint.
+    """Induced subgraph on a union of cells, in x's colours, if certify_stable accepts it.
 
     keep holds 0-based indices into x.cells.cells. The kept vertices are
     renumbered 1..m in ascending original order.

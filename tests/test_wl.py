@@ -187,6 +187,12 @@ def test_stable_fixpoint_law():
     assert not is_stable(path(3))
 
 
+def test_is_stable_compares_the_partitions_not_their_sizes():
+    # two colours and two signatures, but different classes: the signatures
+    # split the diagonal from the rest, the colours the anti-diagonal
+    assert not is_stable(LabeledGraph([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
+
+
 def test_stable_laws_small_corpus():
     for n in range(2, 5):
         for g in connected_classes(n):
@@ -812,6 +818,42 @@ def test_certify_rejects_diagonal_color_leak():
     assert is_stable(g)
     with pytest.raises(ValueError, match="diagonal colors leak"):
         certify_stable(g)
+
+
+# fixpoints of non-symmetric colour matrices that are not transpose-closed:
+# one colour can sit on pairs whose transposes carry different colours
+NON_SYMMETRIC_FIXPOINT_SOURCES = (
+    [[0, 0, 1, 1], [0, 0, 1, 1], [0, 1, 1, 1], [1, 0, 1, 1]],
+    [[0, 0, 0, 1], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]],
+    [[0, 0, 1, 1, 0], [1, 0, 0, 0, 1], [1, 0, 0, 0, 1], [1, 0, 0, 1, 1], [0, 1, 0, 1, 0]],
+)
+
+
+@pytest.mark.parametrize("rows", NON_SYMMETRIC_FIXPOINT_SOURCES)
+def test_certify_accepts_non_symmetric_fixpoints(rows):
+    x = stabilize(LabeledGraph(rows))
+    y = certify_stable(x.graph)
+    assert y.graph == x.graph and y.cells == x.cells and y.dim() == x.dim()
+    sub = restrict_to_cells(x, range(len(x.cells.cells)))
+    assert sub.graph == x.graph and sub.cells == x.cells
+
+
+def test_certify_agrees_with_is_stable_once_the_diagonal_is_recognized():
+    rng = np.random.default_rng(7)
+    corpus = [h for n in range(2, 6) for g in connected_classes(n) for h in (g, bind(g).graph)]
+    corpus += [LabeledGraph(rng.integers(0, 3, size=(n, n))) for n in range(2, 8) for _ in range(50)]
+    accepted = 0
+    for h in corpus:
+        g = recognize_vertices(h)
+        try:
+            certify_stable(g)
+        except ValueError as e:
+            assert "refinement fixpoint" in str(e)
+            assert not is_stable(g)
+        else:
+            accepted += 1
+            assert is_stable(g)
+    assert 0 < accepted < len(corpus)
 
 
 # --- similarity and equatable blocks --------------------------------------
