@@ -49,9 +49,57 @@ and reproducible across runs.
 """
 from __future__ import annotations
 
-from typing import Callable
+import ctypes
+import os
+from typing import Any, Callable
 
 import numpy as np
+
+# glibc's allocator policy, set once at import. A hash round frees about a
+# dozen N^2-sized temporaries; by default glibc trims the heap top once more
+# than twice the largest recent free sits there, so every round handed its
+# pages back to the kernel and the next one faulted them in again, zero-filled
+# (~2,500 minor faults per decision at orders 210 and 300). With these values
+# the freed arrays stay in the heap and are reused.
+_M_TRIM_THRESHOLD = -1  # mallopt parameter numbers, from glibc's malloc.h
+_M_MMAP_THRESHOLD = -3
+# glibc's own ceiling for its dynamic mmap threshold: arrays below 32 MiB
+# (every N^2 int64 array below order 2048) come from the heap at once
+_MMAP_THRESHOLD = 32 << 20
+# free heap top kept before trimming: a round holds five N^2 8-byte arrays at
+# once besides the matrices stabilize keeps, 160 MiB at order 2047; a 64 MiB
+# threshold still left ~5,000 faults per decision at order 1596
+_TRIM_THRESHOLD = 256 << 20
+
+
+def _glibc() -> ctypes.CDLL | None:
+    """The process's C library when it is glibc, else None."""
+    try:
+        version = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return None
+    if not version or not version.startswith("glibc"):
+        return None
+    try:
+        return ctypes.CDLL(None)
+    except OSError:
+        return None
+
+
+def _keep_freed_memory(libc: Any) -> bool:
+    """Raise libc's mmap and trim thresholds through mallopt, so freed round
+    temporaries stay in the heap; whether both were set. Nothing is done when
+    libc is None or has no mallopt, and nothing more once a call returns 0."""
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    settings = ((_M_MMAP_THRESHOLD, _MMAP_THRESHOLD), (_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+    return all(mallopt(param, value) != 0 for param, value in settings)
+
+
+_keep_freed_memory(_glibc())
 
 MAX_ORDER = 8192  # N * (2^20 - 1)^2 < 2^53: each hash sum is an exact float64 integer
 
@@ -376,8 +424,8 @@ def _entries_to_check(
     entry orbits of the kept generators, so it holds one signature
     exactly when the smallest members of its orbits do; only classes with
     two or more such members are returned. The orbit labels are the
-    transient peak, about 16 bytes per entry, below the 24 of ordering
-    the entries of a full check.
+    transient peak, about 16 bytes per entry, as much as ordering the
+    entries of a full check (_group_by_class).
     """
     n = m.shape[0]
     flat = labels.ravel()
@@ -403,6 +451,22 @@ def _entries_to_check(
     first = _orbit_labels(kept, n, entries=True) == np.arange(n * n, dtype=np.int32)
     many = np.bincount(flat[first], minlength=sizes.size) > 1
     return np.flatnonzero(first & many[flat]), len(kept)
+
+
+def _group_by_class(check: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The ascending flat indices check, grouped by class flat[check] and
+    ascending within each class, as a stable sort by class orders them.
+
+    Each index is packed below its class in one int64 key (both are below
+    N^2 <= 2^26) and the keys are sorted in place, so the peak is the keys
+    and check, 16 bytes per entry; a stable argsort holds three such arrays.
+    """
+    key = flat[check].astype(np.int64, copy=False)
+    key <<= 32
+    key |= check
+    key.sort()
+    key &= 0xFFFFFFFF
+    return key
 
 
 def _verify_streaming(
@@ -433,7 +497,7 @@ def _verify_streaming(
     if sizes.max() < 2:  # discrete: nothing to compare
         return labels, count, 0, 0
     check, generators = _entries_to_check(m, labels, sizes)
-    check = check[np.argsort(flat[check], kind="stable")]  # grouped by class
+    check = _group_by_class(check, flat)
 
     bad = np.zeros(count, dtype=bool)
     step = max(1, _BLOCK // m.shape[0])

@@ -9,6 +9,7 @@ and 2 for any error. Every other subcommand exits 0, or 2 for an error.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 from pathlib import Path
 
@@ -123,6 +124,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     for gi, per_size in report["timing"]["verdict_median_ms"].items():
         print(f"  median ms, {gi}: {per_size}")
+    faults = statistics.median(c["minor_faults"] for c in report["cases"])
+    print(f"  median minor faults per case: {faults:g}; peak RSS {report['timing']['peak_rss_mb']} MB")
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import resource
 import statistics
 import time
 from pathlib import Path
@@ -382,9 +383,12 @@ def bench_scaling(
 
     Each sample draws a random connected pair (G, H), usually
     non-isomorphic, and times it beside the planted pair (G, G^pi), which is
-    isomorphic and the slower verdict. timing holds a log-log slope through
-    the per-size median times of all pairs and, per verdict and size, the
-    median time (verdict_median_ms).
+    isomorphic and the slower verdict. Each case records its time and the
+    minor page faults the process took during its decision (minor_faults,
+    from getrusage). timing holds a log-log slope through the per-size
+    median times of all pairs (null for a single size), per verdict and
+    size the median time (verdict_median_ms), and the process's peak RSS
+    when the bench ends (peak_rss_mb).
     """
     if not sizes or sorted(sizes) != list(sizes):
         raise ValueError("sizes must be a non-empty ascending list")
@@ -408,7 +412,9 @@ def bench_scaling(
             rng.shuffle(images)
             planted = apply_permutation(g, Permutation(tuple(images)))
             for kind, other in (("random", h), ("planted", planted)):
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 verdict = decide_iso(g, other)
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
                 gi = "iso" if verdict.isomorphic else "noniso"
                 times.append(verdict.timing_ms)
                 case_ms.append(verdict.timing_ms)
@@ -423,21 +429,23 @@ def bench_scaling(
                         "n": size,
                         "binding_order": size * (2 * size + 1),
                         "ms": round(verdict.timing_ms, 3),
+                        "minor_faults": faults,
                     }
                 )
         medians.append(statistics.median(times))
 
+    slope = None  # a slope needs two sizes; JSON has no NaN
     if len(sizes) >= 2:
-        slope = float(
-            np.polyfit(np.log([float(s) for s in sizes]), np.log(medians), 1)[0]
-        )
-    else:
-        slope = float("nan")
-    report["timing"]["loglog_slope"] = round(slope, 4)
+        fit = np.polyfit(np.log([float(s) for s in sizes]), np.log(medians), 1)
+        slope = round(float(fit[0]), 4)
+    report["timing"]["loglog_slope"] = slope
     report["timing"]["verdict_median_ms"] = {
         gi: {n: round(statistics.median(ms), 3) for n, ms in per_size.items()}
         for gi, per_size in by_verdict.items()
     }
+    # ru_maxrss is in KiB on Linux
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    report["timing"]["peak_rss_mb"] = round(peak_kib / 1024.0, 1)
     return _finish_timing(report, started, case_ms)
 
 

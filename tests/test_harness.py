@@ -340,6 +340,19 @@ def test_bench_smoke():
     medians = r["timing"]["verdict_median_ms"]
     assert set(medians["iso"]) == {"4", "5"}
     assert all(m > 0 for per_size in medians.values() for m in per_size.values())
+    assert all(isinstance(c["minor_faults"], int) and c["minor_faults"] >= 0 for c in r["cases"])
+    assert r["timing"]["peak_rss_mb"] > 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_single_size_bench_writes_strict_json(tmp_path):
+    out = tmp_path / "r.json"
+    assert cli_main(["bench", "--sizes", "4", "--samples", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    assert report["timing"]["loglog_slope"] is None
 
 
 def test_bench_deterministic_verdicts():
