@@ -2,8 +2,11 @@
 
 A hash round keys every entry (i, j) of the color matrix on its old color
 and h, a deterministic content hash of the multiset {(m[i,k], m[k,j]) : k}
-of ordered color pairs, and numbers the classes by one sort on the 64-bit
-key h << b | old color (_rank), b the bit length of the largest color. A
+of ordered color pairs, and numbers the classes in ascending order of the
+64-bit key h << b | old color, b the bit length of the largest color
+(_rank: at scale, one in-place sort of keys whose low bits carry each
+entry's index, then a sort of the few runs that the index bits put out of
+order). A
 color is below N^2 <= 2^26, so h keeps 64 - b >= 38 bits, and the most
 where a few colors split into many classes. The key holds the color
 exactly: no round merges two colors, and each refines the one before it.
@@ -114,6 +117,11 @@ _BLOCK = 1 << 16  # signature elements per verify block: bounds the signatures h
 _SEARCH_GATE = 32 * _BLOCK
 _SEARCH_SHARE = 512
 
+# _rank sorts keys carrying their index from this many on; below it an
+# argsort's fewer numpy calls cost less (at 441 entries, 19 against 25 us;
+# the two meet between 1,000 and 2,000 entries)
+_CARRY_MIN = 1 << 11
+
 _SM1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM2 = np.uint64(0x94D049BB133111EB)
 # one seed per weight row: (left, right) of projection 0, then of projection 1
@@ -174,12 +182,16 @@ def _pair_hash(m: np.ndarray) -> np.ndarray:
     """
     check_order(m.shape[0])
     dim = int(m.max()) + 1
-    h = np.zeros(m.shape, dtype=np.uint64)
-    for row in (0, 2):  # the (left, right) seed rows of each projection
-        left = _weights(dim, row)[m]
-        right = _weights(dim, row + 1)[m]
-        h *= _PROJECT
-        h += (left @ right).astype(np.uint64)
+
+    def project(row: int) -> np.ndarray:
+        """left[m] @ right[m] for the (left, right) seed rows row and row + 1,
+        as uint64; the int64 cast is the faster one, and exact below 2^53."""
+        product = _weights(dim, row)[m] @ _weights(dim, row + 1)[m]
+        return product.astype(np.int64).view(np.uint64)
+
+    h = project(0)
+    h *= _PROJECT
+    h += project(2)
     return h
 
 
@@ -188,22 +200,88 @@ def _rank(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, int]:
     order of the key minor << b | major, b the bit length of max(major).
 
     major: int64 in [0, 2^26), held exactly; minor: only its low 64 - b bits
-    are read, so a 64-bit hash may be passed whole. One sort numbers the
-    pairs, by content alone.
+    are read, so a 64-bit hash may be passed whole. The pairs are numbered
+    by content alone, by an argsort of the keys below _CARRY_MIN of them and
+    by _sort_carrying_index from there on. The transient peak is 25 bytes
+    per entry.
     """
     bits = np.uint64(int(major.max()).bit_length())
     key = minor.astype(np.uint64, copy=False) << bits
-    key |= major.astype(np.uint64)
-    order = np.argsort(key)
-    key = key[order]
-    change = np.empty(order.size, dtype=bool)
+    key |= major.view(np.uint64) if major.dtype == np.int64 else major.astype(np.uint64)
+    if key.size < _CARRY_MIN:
+        order = np.argsort(key)
+        key = key[order]
+    else:
+        order = _sort_carrying_index(key)
+    change = np.empty(key.size, dtype=bool)
     change[0] = True
     np.not_equal(key[1:], key[:-1], out=change[1:])
-    del key  # the N^2-sized temporaries are dropped as soon as they are used
-    ranks = np.cumsum(change) - 1
-    labels = np.empty(order.size, dtype=np.int64)
+    ranks = key.view(np.int64)  # the keys are no longer needed
+    ranks[:] = change
+    del change
+    np.cumsum(ranks, out=ranks)
+    labels = np.empty(key.size, dtype=np.int64)
     labels[order] = ranks
-    return labels, int(ranks[-1]) + 1
+    labels -= 1
+    return labels, int(ranks[-1])
+
+
+def _sort_carrying_index(key: np.ndarray) -> np.ndarray:
+    """Sort the uint64 keys in place, without an argsort; the order that
+    sorts them (intp), as an argsort would give it up to ties.
+
+    The key's low s bits (s the bit length of size - 1, at most 32) are
+    saved and replaced by each entry's index, the keys are sorted in place,
+    the order is read back from the low bits and the full keys are restored
+    from the saved ones. That is the key order except within a run of keys
+    that share their top 64 - s bits, which comes out in index order; only
+    the runs that are then out of order are sorted again (_sort_runs). The
+    transient peak is 16 bytes per entry besides the keys, and 17 while a
+    run as long as the array is sorted again.
+    """
+    size = key.size
+    shift = (size - 1).bit_length()
+    mask = np.uint64((1 << shift) - 1)
+    low = key & mask  # saved, to restore the keys
+    key ^= low
+    low = low.astype(np.uint32)
+    key |= np.arange(size, dtype=np.uint64)  # each entry's index in their place
+    key.sort()
+    order = key & mask
+    key ^= order
+    order = order.view(np.intp)
+    key |= low[order]
+    del low
+    _sort_runs(key, order, shift)
+    return order
+
+
+def _sort_runs(key: np.ndarray, order: np.ndarray, shift: int) -> None:
+    """Sort by full key, in place with order, each run of key that shares its
+    bits above shift and is out of order.
+
+    key is in ascending order of key >> shift, and order holds values below
+    2^shift. A run is sorted by one in-place sort of its low key bits packed
+    above its order.
+    """
+    mask = np.uint64((1 << shift) - 1)
+    descent = key[1:] < key[:-1]
+    start = 0
+    while start < descent.size:
+        d = start + int(np.argmax(descent[start:]))
+        if not descent[d]:
+            return
+        top = key[d] & ~mask
+        a = int(np.searchsorted(key, top, side="left"))
+        b = int(np.searchsorted(key, top | mask, side="right"))
+        packed = key[a:b] & mask
+        packed <<= np.uint64(shift)
+        packed |= order[a:b].view(np.uint64)
+        packed.sort()
+        np.bitwise_and(packed, mask, out=order[a:b].view(np.uint64))
+        packed >>= np.uint64(shift)
+        np.bitwise_or(packed, top, out=key[a:b])
+        start = b
 
 
 def refine_once(m: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
@@ -362,7 +440,7 @@ def _search_witness(
     only maps it accepts are returned. At most budget splits are made.
     """
     n = m.shape[0]
-    cells = _rank(m.diagonal(), np.zeros(n, dtype=np.uint64))[0]
+    cells = np.unique(m.diagonal(), return_inverse=True)[1]
     # the first path, per level: the cells before its split, the number of
     # the cell it splits, that cell's members and the cell sizes after it
     nodes, targets, members, sizes = [], [], [], []

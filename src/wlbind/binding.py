@@ -115,18 +115,21 @@ def extend_automorphism(b: BindingGraph, s: Permutation) -> Permutation:
 
 
 def classify_cells(b: BindingGraph, p: Partition) -> list[CellClass]:
-    """Tag each cell by whether it holds basic vertices, binding vertices, or both."""
+    """Tag each cell by whether it holds basic vertices, binding vertices, or both.
+
+    A partition's cells are sorted, so a cell's ends decide its tag: it
+    holds a basic vertex when its first is at most the basic count, and a
+    binding vertex when its last is above it.
+    """
     if p.order != b.order:
         raise ValueError(f"partition covers {p.order} vertices, binding graph has {b.order}")
     n = b.basic_count
     out: list[CellClass] = []
     for cell in p.cells:
-        has_basic = any(v <= n for v in cell)
-        has_binding = any(v > n for v in cell)
-        if has_basic and has_binding:
-            out.append(MIXED)
-        elif has_basic:
+        if cell[-1] <= n:
             out.append(BASIC)
-        else:
+        elif cell[0] > n:
             out.append(BINDING)
+        else:
+            out.append(MIXED)
     return out

@@ -1,6 +1,7 @@
 """The end-to-end isomorphism decision: union, bind, stabilize, inspect cells."""
 from __future__ import annotations
 
+import bisect
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -33,13 +34,19 @@ class GiVerdict:
 
 
 def shared_basic_cells(b: BindingGraph, p: Partition, n: int) -> list[tuple[int, ...]]:
-    """Basic cells containing vertices from both halves of a 2n-vertex union."""
+    """Basic cells containing vertices from both halves of a 2n-vertex union.
+
+    A partition's cells are sorted: a cell meets the first half when its
+    first vertex is at most n, and the second when the first vertex above n
+    is at most 2n.
+    """
     classes = classify_cells(b, p)
     out = []
     for cell, cls in zip(p.cells, classes):
-        if cls != BASIC:
+        if cls != BASIC or cell[0] > n:
             continue
-        if any(v <= n for v in cell) and any(n < v <= 2 * n for v in cell):
+        above = bisect.bisect_right(cell, n)
+        if above < len(cell) and cell[above] <= 2 * n:
             out.append(cell)
     return out
 

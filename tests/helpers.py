@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import itertools
+import random
 from functools import lru_cache
 
 from wlbind import BLANK, EDGE, LabeledGraph, Permutation, SimpleGraph, apply_permutation
+from wlbind.graphs import Partition
 from wlbind.harness import enumerate_graphs
 
 
@@ -71,6 +73,14 @@ def all_graphs(n: int):
     """Every labeled simple graph of order n (not deduplicated)."""
     e = n * (n - 1) // 2
     return (mask_to_graph(n, mask) for mask in range(1 << e))
+
+
+def random_partition(order: int, rng: random.Random) -> Partition:
+    """A partition of [order] into a random number of random cells."""
+    vertices = list(range(1, order + 1))
+    rng.shuffle(vertices)
+    cuts = sorted(rng.sample(range(1, order), rng.randint(0, order - 1)))
+    return Partition.from_cells(vertices[a:b] for a, b in zip([0, *cuts], [*cuts, order]))
 
 
 def brute_force_has_iso(g: LabeledGraph, h: LabeledGraph) -> bool:

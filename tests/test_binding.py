@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from wlbind import (
     bind,
     binding_vertex,
     classify_cells,
+    disjoint_union,
     equivalent,
     extend_automorphism,
     find_isomorphism,
@@ -30,6 +32,7 @@ from helpers import (
     k,
     mask_to_graph,
     path,
+    random_partition,
 )
 
 
@@ -205,6 +208,19 @@ def test_classify_cells_examples():
     assert classify_cells(b0, stabilize(b0.graph).cells) == [MIXED]
     b1 = bind(k(2))
     assert classify_cells(b1, stabilize(b1.graph).cells) == [MIXED]
+
+
+def test_classify_cells_matches_a_scan_of_every_member():
+    b = bind(disjoint_union(k(3), k(3)))  # order 21, basic count 6
+    n = b.basic_count
+    rng = random.Random(5)
+    for p in (random_partition(b.order, rng) for _ in range(300)):
+        basic = [any(v <= n for v in c) for c in p.cells]
+        binding = [any(v > n for v in c) for c in p.cells]
+        expected = [
+            MIXED if lo and hi else BASIC if lo else BINDING for lo, hi in zip(basic, binding)
+        ]
+        assert classify_cells(b, p) == expected
 
 
 def test_binding_iso_reduces_to_basic_iso_small():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from wlbind import (
 )
 from wlbind.harness import random_connected_graph
 
-from helpers import connected_classes, cycle, k, mask_to_graph, path, star
+from helpers import connected_classes, cycle, k, mask_to_graph, path, random_partition, star
 
 
 def test_identical_inputs_are_isomorphic():
@@ -116,6 +117,18 @@ def test_shared_basic_cells_direct():
     b2 = bind(disjoint_union(cycle(4), star(4)))
     x2 = stabilize(b2.graph)
     assert shared_basic_cells(b2, x2.cells, 4) == []
+
+
+def test_shared_basic_cells_matches_a_scan_of_every_member():
+    b = bind(disjoint_union(k(3), k(3)))  # order 21, basic count 6
+    rng = random.Random(9)
+    for p in (random_partition(b.order, rng) for _ in range(300)):
+        for n in (2, 3, 4):
+            expected = [
+                c for c in p.cells
+                if max(c) <= 6 and any(v <= n for v in c) and any(n < v <= 2 * n for v in c)
+            ]
+            assert shared_basic_cells(b, p, n) == expected
 
 
 # two strongly regular (16,6,2,2) graphs: the rook's graph of the 4x4 grid and

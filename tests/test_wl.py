@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 import types
 
 import numpy as np
@@ -381,6 +382,123 @@ def test_rank_matches_lexsort_partition(seed):
     labels, count = _refine._rank(major, minor)
     assert _partition_of(labels, count) == _reference_partition(major, minor)
     assert len({labels[0], labels[1], labels[2]}) == 3 and labels[0] == labels[3]
+    _assert_reference_labels(major, minor, labels, count)
+
+
+def _packed_key(major, minor):
+    """_rank's key: minor << b | major, b the bit length of max(major)."""
+    bits = np.uint64(int(major.max()).bit_length())
+    return minor.astype(np.uint64) << bits | major.astype(np.uint64)
+
+
+def _reference_rank(major, minor):
+    """_rank by np.unique: dense ascending ranks of the packed key."""
+    distinct, labels = np.unique(_packed_key(major, minor), return_inverse=True)
+    return labels.astype(np.int64), distinct.size
+
+
+def _assert_reference_labels(major, minor, labels, count):
+    want, want_count = _reference_rank(major, minor)
+    assert labels.dtype == np.int64 and count == want_count
+    assert np.array_equal(labels, want)
+
+
+def _rank_inputs(name):
+    """(major, minor) for one named shape of _rank's input."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    size = 90_000
+    if name == "size-1":
+        return np.array([5]), np.array([2**40], dtype=np.uint64)
+    if name == "size-2":
+        return np.array([3, 1]), np.array([7, 7], dtype=np.uint64)
+    if name == "tiny-clashing":  # few distinct keys, all sharing their top bits
+        return rng.integers(0, 8, 37), rng.integers(0, 4, 37, dtype=np.uint64)
+    if name == "skewed":  # one class holds 71% of the entries, as in a first round
+        major = rng.integers(0, 300, size)
+        minor = rng.integers(0, 2**63, size, dtype=np.uint64)
+        major[:64_000], minor[:64_000] = 17, minor[0]
+        return rng.permutation(major), minor
+    if name == "small-minors":  # every key shares its top bits with many others
+        return rng.integers(0, 3000, size), rng.integers(0, 2**20, size, dtype=np.uint64)
+    if name == "shared-minors":  # equal minors under different majors
+        major = rng.integers(0, 2**26, size)
+        minor = rng.integers(0, 2**63, 50, dtype=np.uint64)[rng.integers(0, 50, size)]
+        return major, minor
+    if name == "one-run":  # every key below the index bits: the whole array is one run
+        return rng.integers(0, 2**17, size)[::-1].copy(), np.zeros(size, dtype=np.uint64)
+    if name == "random-2^22":  # keys that share their top 42 bits occur
+        size = 1 << 22
+        return rng.integers(0, 2**26, size), rng.integers(0, 2**63, size, dtype=np.uint64)
+    raise ValueError(name)
+
+
+_RANK_SHAPES = [
+    "size-1", "size-2", "tiny-clashing", "skewed", "small-minors", "shared-minors", "one-run",
+    "random-2^22",
+]
+
+
+@pytest.mark.parametrize("name", _RANK_SHAPES)
+def test_rank_labels_equal_the_unique_reference(name):
+    major, minor = _rank_inputs(name)
+    labels, count = _refine._rank(major, minor)
+    _assert_reference_labels(major, minor, labels, count)
+
+
+@pytest.mark.parametrize("name", _RANK_SHAPES)
+def test_sort_carrying_index_gives_a_sorting_order(name):
+    """The in-place sort that _rank uses from _CARRY_MIN keys on, at every size."""
+    major, minor = _rank_inputs(name)
+    key = _packed_key(major, minor)
+    ordered = key.copy()
+    order = _refine._sort_carrying_index(ordered)
+    assert np.array_equal(ordered, np.sort(key))
+    assert np.array_equal(key[order], ordered)
+    assert np.array_equal(np.sort(order), np.arange(key.size))
+
+
+def test_random_keys_share_top_bits():
+    """The 2^22 random keys hold runs that the index bits overwrite in the
+    same top bits, so the run repair is exercised."""
+    major, minor = _rank_inputs("random-2^22")
+    key = np.sort(_packed_key(major, minor))
+    top = key >> np.uint64(22)
+    assert ((top[1:] == top[:-1]) & (key[1:] != key[:-1])).any()
+
+
+@pytest.mark.parametrize("name", ["random-2^22", "one-run"])
+def test_rank_peak_memory(name):
+    """_rank's transient peak stays at 25 bytes per entry, as an argsort's
+    does, also when the whole array must be sorted again."""
+    major, minor = _rank_inputs(name)
+    if major.size < 1 << 22:
+        major = np.resize(major, 1 << 22)
+        minor = np.resize(minor, 1 << 22)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _refine._rank(major, minor)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25 * major.size + (64 << 10)  # and a few small arrays
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_stabilize_is_bytewise_equal_with_the_reference_rank(n, monkeypatch):
+    rng = random.Random(n)
+    g = random_connected_graph(n, rng)
+    graphs = [
+        bind(disjoint_union(g, random_connected_graph(n, rng))).graph,
+        bind(disjoint_union(g, _planted(g, rng))).graph,
+    ]
+    fast = [stabilize(x) for x in graphs]
+    monkeypatch.setattr(_refine, "_rank", _reference_rank)
+    for x, want in zip(graphs, fast):
+        got = stabilize(x)
+        assert got.graph.matrix.tobytes() == want.graph.matrix.tobytes()
+        assert got.cells == want.cells and got.trace == want.trace
 
 
 def test_rank_keeps_majors_apart_on_a_shared_minor():
