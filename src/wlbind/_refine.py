@@ -4,9 +4,8 @@ A hash round keys every entry (i, j) of the color matrix on its old color
 and h, a deterministic content hash of the multiset {(m[i,k], m[k,j]) : k}
 of ordered color pairs, and numbers the classes in ascending order of the
 64-bit key h << b | old color, b the bit length of the largest color
-(_rank: at scale, one in-place sort of keys whose low bits carry each
-entry's index, then a sort of the few runs that the index bits put out of
-order). A
+(_rank: one in-place sort of keys whose low bits carry each entry's index,
+then a sort of the few runs that the index bits put out of order). A
 color is below N^2 <= 2^26, so h keeps 64 - b >= 38 bits, and the most
 where a few colors split into many classes. The key holds the color
 exactly: no round merges two colors, and each refines the one before it.
@@ -117,11 +116,6 @@ _BLOCK = 1 << 16  # signature elements per verify block: bounds the signatures h
 _SEARCH_GATE = 32 * _BLOCK
 _SEARCH_SHARE = 512
 
-# _rank sorts keys carrying their index from this many on; below it an
-# argsort's fewer numpy calls cost less (at 441 entries, 19 against 25 us;
-# the two meet between 1,000 and 2,000 entries)
-_CARRY_MIN = 1 << 11
-
 _SM1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM2 = np.uint64(0x94D049BB133111EB)
 # one seed per weight row: (left, right) of projection 0, then of projection 1
@@ -195,24 +189,27 @@ def _pair_hash(m: np.ndarray) -> np.ndarray:
     return h
 
 
-def _rank(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, int]:
-    """Dense labels numbering the distinct (major, minor) pairs in ascending
-    order of the key minor << b | major, b the bit length of max(major).
+def _key(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """The uint64 keys minor << b | major, b the bit length of max(major).
 
     major: int64 in [0, 2^26), held exactly; minor: only its low 64 - b bits
-    are read, so a 64-bit hash may be passed whole. The pairs are numbered
-    by content alone, by an argsort of the keys below _CARRY_MIN of them and
-    by _sort_carrying_index from there on. The transient peak is 25 bytes
-    per entry.
+    are read, so a 64-bit hash may be passed whole.
     """
     bits = np.uint64(int(major.max()).bit_length())
     key = minor.astype(np.uint64, copy=False) << bits
     key |= major.view(np.uint64) if major.dtype == np.int64 else major.astype(np.uint64)
-    if key.size < _CARRY_MIN:
-        order = np.argsort(key)
-        key = key[order]
-    else:
-        order = _sort_carrying_index(key)
+    return key
+
+
+def _rank(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense labels numbering the distinct (major, minor) pairs in ascending
+    order of their _key, and the number of pairs.
+
+    The pairs are numbered by content alone, by _sort_carrying_index. The
+    transient peak is 25 bytes per entry.
+    """
+    key = _key(major, minor)
+    order = _sort_carrying_index(key)
     change = np.empty(key.size, dtype=bool)
     change[0] = True
     np.not_equal(key[1:], key[:-1], out=change[1:])
@@ -412,12 +409,15 @@ def _split(cells: np.ndarray, m: np.ndarray, v: int) -> np.ndarray:
     """cells refined by each vertex's colors to and from v, with v alone in
     its cell; numbered by content, so automorphisms commute with it. A key
     collision (of 51 or more bits of the mixed pair code) leaves two
-    vertices in one cell, which costs at most a candidate (each is verified)."""
+    vertices in one cell, which costs at most a candidate (each is verified).
+    Numbered as _rank would, but by np.unique: vertices of different cells
+    often share a pair code, and every such run would be sorted again."""
     row = m[v] + 1
     col = m[:, v] + 1
     row[v] = col[v] = 0
     radix = max(int(row.max()), int(col.max())) + 1  # below 2^27: the pair code fits
-    return _rank(cells, _mix64((row * radix + col).astype(np.uint64)))[0]
+    key = _key(cells, _mix64((row * radix + col).astype(np.uint64)))
+    return np.unique(key, return_inverse=True)[1]
 
 
 def _search_witness(

@@ -447,7 +447,7 @@ def test_rank_labels_equal_the_unique_reference(name):
 
 @pytest.mark.parametrize("name", _RANK_SHAPES)
 def test_sort_carrying_index_gives_a_sorting_order(name):
-    """The in-place sort that _rank uses from _CARRY_MIN keys on, at every size."""
+    """The in-place sort that _rank uses, at every size."""
     major, minor = _rank_inputs(name)
     key = _packed_key(major, minor)
     ordered = key.copy()
@@ -499,6 +499,22 @@ def test_stabilize_is_bytewise_equal_with_the_reference_rank(n, monkeypatch):
         got = stabilize(x)
         assert got.graph.matrix.tobytes() == want.graph.matrix.tobytes()
         assert got.cells == want.cells and got.trace == want.trace
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_split_numbers_cells_as_rank_does(seed):
+    """The witness search's splits number cells in _rank's order, on keys
+    where most pair codes span several cells."""
+    rng = np.random.default_rng(seed)
+    n = 2500
+    m = rng.integers(0, 3, (n, n))
+    cells = rng.integers(0, 40, n)
+    for v in (0, 7, n - 1):
+        row, col = m[v] + 1, m[:, v] + 1
+        row[v] = col[v] = 0
+        code = _refine._mix64((row * 4 + col).astype(np.uint64))
+        want, _ = _reference_rank(cells, code)
+        assert np.array_equal(_refine._split(cells, m, v), want)
 
 
 def test_rank_keeps_majors_apart_on_a_shared_minor():
