@@ -30,12 +30,12 @@ are already single orbits, the refinement cannot split any of them, and m
 is a fixpoint with no round run (orbit_certificate); stabilize still
 counts the round it skips, since a run that executed it would have
 confirmed the dimension there, so rounds and dims do not depend on
-whether a fixpoint was certified or checked. When the classes of a
-partition are unions of orbits (labels is gamma-invariant too), a class
-holds one signature exactly when one member of each of its orbits does,
-so the check compares those members alone (_entries_to_check).
+whether a fixpoint was certified or checked. Since m's own classes are
+unions of orbits, a class holds one signature exactly when one member of
+each of its orbits does, so the check compares those members alone
+(_entries_to_check).
 
-Generators are only ever candidates, kept when the invariance checks hold,
+Generators are only ever candidates, kept when m is invariant under them,
 however they were guessed, so a wrong one can cost time but never change
 an answer. Two sources propose them: the swap sigma that exchanges the two
 vertices of every two-vertex diagonal class (when no class is larger),
@@ -46,8 +46,8 @@ found by vectorized label lowering and pointer jumping (_orbit_labels).
 The checked members of a class are compared, by sorted signature vector,
 with the member before them, in entry blocks of bounded size, and a class
 that fails is split over all of its members by exact signature order.
-All numbering derives from matrix content alone, which is what makes stabilization permutation-equivariant
-and reproducible across runs.
+All numbering derives from matrix content alone, which is what makes
+stabilization permutation-equivariant and reproducible across runs.
 """
 from __future__ import annotations
 
@@ -56,6 +56,8 @@ import os
 from typing import Any, Callable
 
 import numpy as np
+
+from .graphs import distinct
 
 # glibc's allocator policy, set once at import. A hash round frees about a
 # dozen N^2-sized temporaries; by default glibc trims the heap top once more
@@ -410,14 +412,13 @@ def _split(cells: np.ndarray, m: np.ndarray, v: int) -> np.ndarray:
     its cell; numbered by content, so automorphisms commute with it. A key
     collision (of 51 or more bits of the mixed pair code) leaves two
     vertices in one cell, which costs at most a candidate (each is verified).
-    Numbered as _rank would, but by np.unique: vertices of different cells
+    Numbered as _rank would, but by compact: vertices of different cells
     often share a pair code, and every such run would be sorted again."""
     row = m[v] + 1
     col = m[:, v] + 1
     row[v] = col[v] = 0
     radix = max(int(row.max()), int(col.max())) + 1  # below 2^27: the pair code fits
-    key = _key(cells, _mix64((row * radix + col).astype(np.uint64)))
-    return np.unique(key, return_inverse=True)[1]
+    return compact(_key(cells, _mix64((row * radix + col).astype(np.uint64))))[0]
 
 
 def _search_witness(
@@ -440,7 +441,7 @@ def _search_witness(
     only maps it accepts are returned. At most budget splits are made.
     """
     n = m.shape[0]
-    cells = np.unique(m.diagonal(), return_inverse=True)[1]
+    cells = compact(m.diagonal())[0]
     # the first path, per level: the cells before its split, the number of
     # the cell it splits, that cell's members and the cell sizes after it
     nodes, targets, members, sizes = [], [], [], []
@@ -487,35 +488,35 @@ def _search_witness(
     return found
 
 
-def _entries_to_check(
-    m: np.ndarray, labels: np.ndarray, sizes: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Flat indices whose signatures decide whether every class is pure, and
-    the number of verified generators that pruned them.
+def _entries_to_check(m: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, int]:
+    """Flat indices whose signatures decide whether every color class of m
+    (of sizes sizes) is pure, and the number of verified generators that
+    pruned them.
 
     Without a generator these are the members of every class of two or
     more. Candidates are the swap sigma and, when the full check would
     compare more than _SEARCH_GATE signature elements, the
     individualization search, given a budget of one split per
-    _SEARCH_SHARE entries of the full check; each is kept only if m and
-    labels are both invariant under it. Then every class is a union of
-    entry orbits of the kept generators, so it holds one signature
-    exactly when the smallest members of its orbits do; only classes with
-    two or more such members are returned. The orbit labels are the
-    transient peak, about 16 bytes per entry, as much as ordering the
-    entries of a full check (_group_by_class).
+    _SEARCH_SHARE entries of the full check; keep, the one place every
+    candidate is verified, accepts one only if m is invariant under it.
+    Then every class of m is a union of entry orbits of the kept
+    generators, so it holds one signature exactly when the smallest
+    members of its orbits do; only classes with two or more such members
+    are returned. The orbit labels are the transient peak, about 16 bytes
+    per entry, as much as ordering the entries of a full check
+    (_group_by_class).
     """
     n = m.shape[0]
-    flat = labels.ravel()
+    flat = m.ravel()
     shared = (sizes > 1)[flat]
     full = int(np.count_nonzero(shared))
     verdicts: dict[bytes, bool] = {}
 
     def keep(gamma: np.ndarray) -> bool:
-        """Whether m and labels are gamma-invariant, checked once per candidate."""
+        """Whether m is gamma-invariant, checked once per candidate."""
         key = gamma.tobytes()
         if key not in verdicts:
-            verdicts[key] = _preserves(gamma, m, labels)
+            verdicts[key] = _preserves(gamma, m)
         return verdicts[key]
 
     sigma = _swap_witness(m)
@@ -547,37 +548,29 @@ def _group_by_class(check: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return key
 
 
-def _verify_streaming(
-    m: np.ndarray,
-    dim: int,
-    labels: np.ndarray,
-    count: int,
-) -> tuple[np.ndarray, int, int, int]:
-    """Exact check of a partition of m's entries by pair signature.
+def _verify_streaming(m: np.ndarray, dim: int) -> tuple[np.ndarray, int, int, int]:
+    """Exact check that each color class of m holds one pair signature.
 
-    m: (n, n) with colors dense in [0, dim); labels: (n, n) classes dense in
-    [0, count). A partition with no class of two entries passes before any
-    sort. Otherwise the entries that decide purity (all members of the
-    shared classes, or one member of each orbit of the verified
-    generators, see _entries_to_check) are grouped by class, and each is
-    compared with the checked member before it in its class, so a class
-    holds one signature exactly when every comparison is equal. Returns
-    (labels, count, checked, generators): labels and count unchanged when
-    every class passes, else the partition refined by exact signature (a
+    m: (n, n) with colors dense in [0, dim), not discrete (stabilize
+    certifies a discrete m before any round). The entries that decide
+    purity (all members of the shared classes, or one member of each orbit
+    of the verified generators, see _entries_to_check) are grouped by
+    class, and each is compared with the checked member before it in its
+    class, so a class holds one signature exactly when every comparison is
+    equal. Returns (labels, count, checked, generators): m and dim when
+    every class passes, else m's partition refined by exact signature (a
     failing class is split over all of its members into sub-classes
-    numbered by signature order, with one class's signatures materialized
-    at a time); checked counts the entries whose signatures the comparison
-    computed, and generators is the number of verified generators the
-    check used.
+    numbered by (old color, signature order), with one class's signatures
+    materialized at a time); checked counts the entries whose signatures
+    the comparison computed, and generators is the number of verified
+    generators the check used.
     """
-    flat = labels.ravel()
-    sizes = np.bincount(flat, minlength=count)
-    if sizes.max() < 2:  # discrete: nothing to compare
-        return labels, count, 0, 0
-    check, generators = _entries_to_check(m, labels, sizes)
+    flat = m.ravel()
+    sizes = np.bincount(flat, minlength=dim)
+    check, generators = _entries_to_check(m, sizes)
     check = _group_by_class(check, flat)
 
-    bad = np.zeros(count, dtype=bool)
+    bad = np.zeros(dim, dtype=bool)
     step = max(1, _BLOCK // m.shape[0])
     for start in range(0, check.size - 1, step):
         block = check[start:start + step + 1]  # shares its last entry with the next block
@@ -585,32 +578,25 @@ def _verify_streaming(
         sigs = _signatures(m, dim, block)
         neq = (owner[1:] == owner[:-1]) & (sigs[1:] != sigs[:-1]).any(axis=1)
         bad[owner[1:][neq]] = True
-    if bad.any():
-        order = np.argsort(flat, kind="stable")  # entries grouped by class
-        bounds = np.concatenate(([0], np.cumsum(sizes)))
-        sub = np.zeros(flat.size, dtype=np.int64)
-        for cls in np.flatnonzero(bad).tolist():
-            members = order[bounds[cls]:bounds[cls + 1]]
-            sigs = _signatures(m, dim, members).astype(">i8")  # byte order = numeric order
-            keys = sigs.view(np.dtype((np.void, sigs.shape[1] * 8))).ravel()
-            _, sub[members] = np.unique(keys, return_inverse=True)
-        out, total = _rank(flat, sub)
-        labels, count = out.reshape(labels.shape), total
-    return labels, count, int(check.size), generators
+    checked = int(check.size)
+    if not bad.any():
+        return m, dim, checked, generators
+    del check
+    failing = _group_by_class(np.flatnonzero(bad[flat]), flat)
+    sub = np.zeros(flat.size, dtype=np.int64)
+    for members in np.split(failing, np.cumsum(sizes[bad])[:-1]):
+        sigs = _signatures(m, dim, members).astype(">i8")  # byte order = numeric order
+        sub[members] = compact(sigs.view(np.dtype((np.void, sigs.shape[1] * 8))).ravel())[0]
+    labels, count = _rank(flat, sub)
+    return labels.reshape(m.shape), count, checked, generators
 
 
 def compact(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """Relabel colors to dense [0, D) by ascending original value."""
+    """Relabel values to dense [0, D) by ascending original value: the
+    engine's one np.unique numbering (split cells, search start cells, and
+    the sub-classes of a failing class)."""
     uniq, inverse = np.unique(m.ravel(), return_inverse=True)
     return inverse.reshape(m.shape).astype(np.int64), int(uniq.shape[0])
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values in ascending order, by one sort."""
-    ordered = np.sort(values)
-    first = np.ones(ordered.size, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return ordered[first]
 
 
 def recognize(m: np.ndarray) -> tuple[np.ndarray, int]:
@@ -621,9 +607,9 @@ def recognize(m: np.ndarray) -> tuple[np.ndarray, int]:
     """
     n = m.shape[0]
     diag = m.diagonal()
-    off_vals = _distinct(m[~np.eye(n, dtype=bool)])
+    off_vals = distinct(m[~np.eye(n, dtype=bool)])
     out = np.searchsorted(off_vals, m).astype(np.int64)
     a = int(off_vals.shape[0])
-    diag_vals = _distinct(diag)
+    diag_vals = distinct(diag)
     out[np.arange(n), np.arange(n)] = a + np.searchsorted(diag_vals, diag)
     return out, a + int(diag_vals.shape[0])

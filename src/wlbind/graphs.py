@@ -23,6 +23,15 @@ EDGE = 1   # the single edge color used by simple graphs
 _INT64_MAX = np.iinfo(np.int64).max
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values in ascending order, by one sort: on numpy 2,
+    np.unique without return_inverse is several times slower."""
+    ordered = np.sort(values, axis=None)
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 def _color_matrix(data: Any) -> np.ndarray:
     """A read-only C-contiguous int64 copy of a square non-negative matrix.
 
@@ -88,11 +97,13 @@ class LabeledGraph:
         return int(self.matrix[u - 1, v - 1])
 
     def dim(self) -> int:
-        """Number of distinct colors appearing in the matrix."""
-        return int(np.unique(self.matrix).size)
+        """Number of distinct colors appearing in the matrix: one sort and a
+        count of changes."""
+        values = np.sort(self.matrix, axis=None)
+        return 1 + int(np.count_nonzero(values[1:] != values[:-1]))
 
     def colors(self) -> frozenset[int]:
-        return frozenset(np.unique(self.matrix).tolist())
+        return frozenset(distinct(self.matrix).tolist())
 
 
 class SimpleGraph(LabeledGraph):

@@ -25,7 +25,7 @@ from .graphs import LabeledGraph, Partition
 Signature = tuple[tuple[tuple[int, int], int], ...]
 
 # identifies how fresh colors are ordered, for report provenance
-CANONICALIZATION = "bilinear-hash-order-v4"
+CANONICALIZATION = "bilinear-hash-order-v5"
 
 
 @dataclass(frozen=True)
@@ -138,19 +138,20 @@ def stabilize(g: LabeledGraph) -> StableGraph:
     """Run the refinement to its fixpoint and certify the result.
 
     Stops at the first round whose dimension matches the previous one.
-    Rounds group entries by hash; a round that adds no class is checked
-    exactly, and a collision it finds is split and counted as that round's
-    refinement, so the fixpoint is the exact one. Before each round, a
-    partition that is discrete, or whose classes are the entry orbits of a
-    verified swap automorphism sigma, is certified instead: the exact
-    round cannot separate two entries of one orbit (an automorphism maps
-    one to the other and keeps their signatures), so it would repeat the
-    dimension. That confirming round is counted (rounds and dims are those
-    of a run that executes it) but not run, and no check runs. Internal
-    colors are assigned canonically from matrix content, so the output is
-    bitwise invariant under vertex relabeling: stabilizing a permuted
-    graph yields the permuted stabilization. Orders above the pair hash's
-    exactness bound are rejected before anything is allocated.
+    Rounds group entries by hash; when a round adds no class, the matrix's
+    own classes are checked exactly, and a collision the check finds is
+    split and counted as that round's refinement, so the fixpoint is the
+    exact one. Before each round, a partition that is discrete, or whose
+    classes are the entry orbits of a verified swap automorphism sigma, is
+    certified instead: the exact round cannot separate two entries of one
+    orbit (an automorphism maps one to the other and keeps their
+    signatures), so it would repeat the dimension. That confirming round
+    is counted (rounds and dims are those of a run that executes it) but
+    not run, and no check runs. Internal colors are assigned canonically
+    from matrix content, so the output is bitwise invariant under vertex
+    relabeling: stabilizing a permuted graph yields the permuted
+    stabilization. Orders above the pair hash's exactness bound are
+    rejected before anything is allocated.
     """
     n = g.order
     _refine.check_order(n)
@@ -170,7 +171,7 @@ def stabilize(g: LabeledGraph) -> StableGraph:
                 break
             labels, count = _refine.refine_once(m, dim)
             if count == dim:  # hash fixpoint: confirm it exactly
-                labels, count, seen, generators = _refine._verify_streaming(m, dim, labels, count)
+                labels, count, seen, generators = _refine._verify_streaming(m, dim)
                 checked += seen
             rounds += 1
             dims.append(count)
@@ -205,22 +206,16 @@ def _classes(colors: np.ndarray) -> Partition:
 
 
 def is_stable(g: LabeledGraph) -> bool:
-    """True when one exact refinement round leaves the entry partition unchanged.
+    """Whether certify_stable accepts g: stabilize leaves it unchanged.
 
-    The diagonal is not recognized first, so colours that each hold one
-    signature can share it (both do in [[0,0,1,1],[1,1,0,0],[0,0,1,1],[1,1,0,0]]):
-    the signature partition, from a hash-only round split exactly, is
-    compared with the colour partition.
+    An order above the pair hash's exactness bound still raises.
     """
     _refine.check_order(g.order)
-    m, dim = _refine.compact(_to_array(g))
-    _, hashed = np.unique(_refine._pair_hash(m), return_inverse=True)
-    groups = int(hashed.max()) + 1
-    labels, count, _, _ = _refine._verify_streaming(m, dim, hashed.reshape(m.shape), groups)
-    if count != dim:
+    try:
+        certify_stable(g)
+    except ValueError:
         return False
-    pairs = m.ravel() * np.int64(count) + labels.ravel()
-    return int(np.unique(pairs).shape[0]) == count
+    return True
 
 
 def certify_stable(g: LabeledGraph) -> StableGraph:

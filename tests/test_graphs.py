@@ -79,6 +79,22 @@ def test_dim_counts_distinct_colors():
     assert mask_to_graph(1, 0).dim() == 1
 
 
+def test_dim_and_colors_match_the_set_of_entries():
+    rng = np.random.default_rng(11)
+    top = np.iinfo(np.int64).max
+    for n in (1, 2, 3, 8, 40):
+        for m in (
+            rng.integers(0, 3, size=(n, n)),
+            rng.integers(0, n * n, size=(n, n)),
+            top - rng.integers(0, 4, size=(n, n)),  # next to the int64 maximum
+            np.where(rng.random((n, n)) < 0.5, 0, top - rng.integers(0, 2, size=(n, n))),
+        ):
+            g = LabeledGraph(m)
+            colors = set(m.ravel().tolist())
+            assert g.dim() == len(colors)
+            assert g.colors() == colors
+
+
 def test_permutation_validation_and_algebra():
     with pytest.raises(ValueError):
         Permutation((1, 1, 3))

@@ -191,7 +191,8 @@ def test_stable_fixpoint_law():
 
 def test_is_stable_compares_the_partitions_not_their_sizes():
     # two colours and two signatures, but different classes: the signatures
-    # split the diagonal from the rest, the colours the anti-diagonal
+    # split the diagonal from the rest, the colours the anti-diagonal, so
+    # recognizing the diagonal alone already makes four classes
     assert not is_stable(LabeledGraph([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
 
 
@@ -546,17 +547,9 @@ def test_rank_reads_more_hash_bits_below_fewer_colors():
 
 # the vertex swap (0 1)(2 3) that a diagonal of the form [a, a, b, b] names
 _SIGMA = np.array([1, 0, 3, 2])
-# sigma-invariant: every off-diagonal entry 2, diagonal classes {0, 1} and {2, 3}
-_SYMMETRIC = np.array([[0, 2, 2, 2], [2, 0, 2, 2], [2, 2, 1, 2], [2, 2, 2, 1]])
-
-
-def _labels_from(classes, n):
-    """(n, n) labels dense from 0 for a list of flat-index classes; every
-    other entry is a class of its own."""
-    ids = np.arange(n * n) + len(classes)
-    for c, members in enumerate(classes):
-        ids[members] = c
-    return np.unique(ids, return_inverse=True)[1].reshape(n, n)
+# diagonal [0, 0, 1, 1], so the swap it names is _SIGMA, but m[0, 2] != m[1, 3]:
+# the class {(0,0), (1,1)} is one orbit of _SIGMA and of (0 1), and it splits
+_NOT_INVARIANT = np.array([[0, 3, 3, 2], [2, 0, 2, 2], [2, 3, 1, 3], [3, 3, 3, 1]])
 
 
 def _exact_refinement(m, labels):
@@ -571,55 +564,37 @@ def _exact_refinement(m, labels):
     return sorted(groups.values())
 
 
-def _verify(m, labels):
-    count = int(labels.max()) + 1
-    out, total, checked, _ = _refine._verify_streaming(m, int(m.max()) + 1, labels, count)
+def _verify(m):
+    """The exact check of m's own color classes: its partition and checked entries."""
+    out, total, checked, _ = _refine._verify_streaming(m, int(m.max()) + 1)
     return _partition_of(out.ravel(), total), checked
 
 
 def test_verify_checks_the_matrix_is_swap_invariant():
-    """Each class is one sigma-orbit, so a pruned check would compare nothing;
-    m is not sigma-invariant, so some orbit mixes signatures and must split."""
-    m = np.array([[0, 3, 3, 2], [2, 0, 2, 2], [2, 3, 1, 3], [3, 3, 3, 1]])
+    """The diagonal names sigma, and the class {(0,0), (1,1)} is one of its
+    entry orbits, so a pruned check would compare nothing there; m is not
+    sigma-invariant, so sigma is dropped, every shared class is compared in
+    full, and the class splits."""
+    m = _NOT_INVARIANT
     assert np.array_equal(_refine._swap_witness(m), _SIGMA)
-    assert not np.array_equal(m[_SIGMA][:, _SIGMA], m)
-    orbits = {}
-    for e in range(16):
-        i, j = divmod(e, 4)
-        orbits.setdefault(min(e, _SIGMA[i] * 4 + _SIGMA[j]), []).append(e)
-    labels = _labels_from(list(orbits.values()), 4)
-    assert np.array_equal(labels[_SIGMA][:, _SIGMA], labels)
-    expected = _exact_refinement(m, labels)
-    assert len(expected) > len(orbits)
-    assert _verify(m, labels)[0] == expected
-
-
-def test_verify_checks_the_partition_is_swap_invariant():
-    """m is sigma-invariant, but the class {(0,1), (3,2)} is not: its one
-    member with e <= sigma(e) is (0,1), so a pruned check would miss (3,2)."""
-    m = _SYMMETRIC
-    assert np.array_equal(m[_SIGMA][:, _SIGMA], m)
-    labels = _labels_from([[0 * 4 + 1, 3 * 4 + 2]], 4)
-    assert not np.array_equal(labels[_SIGMA][:, _SIGMA], labels)
-    partition, checked = _verify(m, labels)
-    assert partition == _exact_refinement(m, labels) == [[e] for e in range(16)]
-    assert checked == 2  # no witness: the one shared class is compared in full
+    assert not _refine._preserves(_SIGMA, m)
+    expected = _exact_refinement(m, m)
+    assert [0] in expected and [5] in expected
+    assert _verify(m) == (expected, 16)
 
 
 def test_verify_splits_a_mismatched_pair_among_swap_pairs():
-    """The sigma-pairs {(0,2), (1,3)} and {(0,3), (1,2)} share a signature;
-    the pair {(2,3), (3,2)} is planted in their class with another. The
-    check compares one member of each pair and splits the class exactly."""
-    m = _SYMMETRIC
-    exact = _exact_refinement(m, np.zeros((4, 4), dtype=np.int64))
-    assert [2, 3, 6, 7] in exact and [11, 14] in exact
-    merged = [c for c in exact if c not in ([2, 3, 6, 7], [11, 14])]
-    labels = _labels_from(merged + [[2, 3, 6, 7, 11, 14]], 4)
-    assert np.array_equal(labels[_SIGMA][:, _SIGMA], labels)
-    partition, checked = _verify(m, labels)
-    assert partition == exact
-    # (0,2), (0,3), (2,3) of the merged class and (2,0), (2,1) of its
-    # transpose; every other class holds one pair
+    """m is sigma-invariant, and its color 3 holds the sigma-pairs
+    {(0,2), (1,3)} and {(0,3), (1,2)}, which share a signature, and the pair
+    {(2,3), (3,2)}, which has another. The check compares one member of each
+    pair and splits the class exactly."""
+    m = np.array([[0, 2, 3, 3], [2, 0, 3, 3], [4, 4, 1, 3], [4, 4, 3, 1]])
+    assert _refine._preserves(_SIGMA, m)
+    partition, checked = _verify(m)
+    assert partition == _exact_refinement(m, m)
+    assert [2, 3, 6, 7] in partition and [11, 14] in partition
+    # (0,2), (0,3), (2,3) of color 3 and (2,0), (2,1) of color 4; every other
+    # class is one sigma-pair
     assert checked == 5
 
 
@@ -729,22 +704,18 @@ def test_orbit_labels_of_a_long_cycle():
 
 def test_search_candidates_are_verified(monkeypatch):
     """The search offers the transposition (0 1) inside the diagonal class
-    {0, 1}, and each class is one of its entry orbits; m is not invariant
-    under it, so it must be dropped and the whole check run, which splits."""
-    m = np.array([[0, 3, 3, 2], [2, 0, 2, 2], [2, 3, 1, 3], [3, 3, 3, 1]])
+    {0, 1}, and the class {(0,0), (1,1)} is one of its entry orbits; m is
+    not invariant under it, so it must be dropped and the whole check run,
+    which splits that class."""
+    m = _NOT_INVARIANT
     tau = np.array([1, 0, 2, 3])
     assert not _refine._preserves(tau, m)
     monkeypatch.setattr(_refine, "_SEARCH_GATE", 0)  # the search runs however small the check
     monkeypatch.setattr(_refine, "_swap_witness", lambda m: None)
     monkeypatch.setattr(_refine, "_search_witness", lambda m, budget, keep: [tau])
-    orbits = {}
-    for e in range(16):
-        i, j = divmod(e, 4)
-        orbits.setdefault(min(e, tau[i] * 4 + tau[j]), []).append(e)
-    labels = _labels_from(list(orbits.values()), 4)
-    expected = _exact_refinement(m, labels)
-    assert len(expected) > len(orbits)
-    assert _verify(m, labels)[0] == expected
+    expected = _exact_refinement(m, m)
+    assert [0] in expected and [5] in expected
+    assert _verify(m) == (expected, 16)
 
 
 def test_wrong_search_candidates_change_nothing(monkeypatch):
@@ -992,7 +963,7 @@ def test_certify_rejects_unstable():
 
 def test_certify_rejects_diagonal_color_leak():
     g = LabeledGraph([[0, 0], [0, 0]])
-    assert is_stable(g)
+    assert not is_stable(g)  # stabilize splits the diagonal from the rest
     with pytest.raises(ValueError, match="diagonal colors leak"):
         certify_stable(g)
 
@@ -1031,6 +1002,22 @@ def test_certify_agrees_with_is_stable_once_the_diagonal_is_recognized():
             accepted += 1
             assert is_stable(g)
     assert 0 < accepted < len(corpus)
+
+
+def test_is_stable_agrees_with_the_single_step_operations():
+    """is_stable against the pure-Python steps, with no engine code: g is
+    stable when recognizing its diagonal and one diamond-and-substitution
+    round both leave its partition unchanged."""
+    rng = np.random.default_rng(7)
+    corpus = [h for n in range(2, 6) for g in connected_classes(n) for h in (g, bind(g).graph)]
+    corpus += [LabeledGraph(rng.integers(0, 3, size=(n, n))) for n in range(2, 8) for _ in range(50)]
+    corpus += [stabilize(g).graph for g in corpus]
+    stable = 0
+    for g in corpus:
+        expected = equivalent(g, recognize_vertices(g)) and equivalent(g, evs(diamond(g)))
+        assert is_stable(g) == expected
+        stable += expected
+    assert len(corpus) // 2 < stable < len(corpus)
 
 
 # --- similarity and equatable blocks --------------------------------------
