@@ -1,7 +1,7 @@
 """Binding graphs: one extra degree-2 vertex glued onto every basic pair."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -17,14 +17,24 @@ BINDING: CellClass = "binding"
 MIXED: CellClass = "mixed"
 
 
+def _binder_order(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The binder order, defined here alone: on n basic vertices, binder n + r + 1
+    binds the r-th pair u < v in lexicographic order. Returns, 0-based, u and v
+    of each pair in that order and the symmetric n x n matrix of their binders."""
+    u, v = np.triu_indices(n, 1)
+    binder = np.zeros((n, n), dtype=np.int64)
+    binder[u, v] = binder[v, u] = np.arange(n, n + u.size)
+    return u, v, binder
+
+
 @dataclass(frozen=True)
 class BindingGraph:
     """A simple graph of order n(n+1)/2 whose last n(n-1)/2 vertices each bind
-    one unordered pair of the first n (basic) vertices."""
+    one unordered pair of the first n (basic) vertices, in the order that
+    _binder_order defines and pairs() lists."""
 
     graph: SimpleGraph
     basic_count: int
-    pair_index: dict[tuple[int, int], int] = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -34,22 +44,26 @@ class BindingGraph:
         n = self.basic_count
         return SimpleGraph(self.graph.matrix[:n, :n])
 
+    def pairs(self) -> list[tuple[int, int]]:
+        """The basic pairs (u, v), u < v, in binder order: binding vertex
+        basic_count + r + 1 binds the r-th."""
+        u, v, _ = _binder_order(self.basic_count)
+        return list(zip((u + 1).tolist(), (v + 1).tolist()))
+
     def pair_of(self, p: int) -> tuple[int, int]:
         """The basic pair bound by binding vertex p."""
         n = self.basic_count
         if not n < p <= self.order:
             raise ValueError(f"{p} is not a binding vertex (basic count {n})")
-        u, v = np.triu_indices(n, 1)  # binder n + r + 1 binds the r-th pair, as in bind
-        r = p - n - 1
-        return int(u[r]) + 1, int(v[r]) + 1
+        return self.pairs()[p - n - 1]
 
 
 def bind(g: SimpleGraph) -> BindingGraph:
     """Attach a fresh degree-2 vertex to every unordered pair of vertices.
 
-    Binding vertices are placed after the basic ones, in lexicographic
-    pair order, which fixes one canonical naming among the many the
-    construction allows. A binding order n(n + 1)/2 above MAX_ORDER is
+    Binding vertices are placed after the basic ones, in the lexicographic
+    pair order of _binder_order, which fixes one canonical naming among the
+    many the construction allows. A binding order n(n + 1)/2 above MAX_ORDER is
     rejected before anything is built.
     """
     n = g.order
@@ -62,21 +76,22 @@ def bind(g: SimpleGraph) -> BindingGraph:
         raise ValueError(f"basic order {n}: binding graph {exc}") from None
     m = np.zeros((n1, n1), dtype=np.int64)
     m[:n, :n] = g.matrix
-    u, v = np.triu_indices(n, 1)  # the pairs u < v in lexicographic order
-    p = np.arange(n, n1)
+    u, v, binder = _binder_order(n)
+    p = binder[u, v]
     m[u, p] = m[p, u] = m[v, p] = m[p, v] = EDGE
-    pair_index = dict(zip(zip((u + 1).tolist(), (v + 1).tolist()), (p + 1).tolist()))
-    return BindingGraph(graph=SimpleGraph(m), basic_count=n, pair_index=pair_index)
+    return BindingGraph(graph=SimpleGraph(m), basic_count=n)
 
 
 def binding_vertex(b: BindingGraph, u: int, v: int) -> int:
-    """The vertex binding the unordered pair {u, v}."""
+    """The vertex binding the unordered pair {u, v}, in the binder order
+    that _binder_order defines."""
     n = b.basic_count
     if u == v:
         raise ValueError(f"no binding vertex for the degenerate pair ({u},{u})")
     if not (1 <= u <= n and 1 <= v <= n):
         raise ValueError(f"pair ({u},{v}) out of basic range [1,{n}]")
-    return b.pair_index[(min(u, v), max(u, v))]
+    _, _, binder = _binder_order(n)
+    return int(binder[u - 1, v - 1]) + 1
 
 
 def phi_graph(b: BindingGraph, x: StableGraph) -> LabeledGraph:
@@ -98,8 +113,7 @@ def extend_automorphism(b: BindingGraph, s: Permutation) -> Permutation:
     """Lift a basic-graph automorphism to the whole binding graph.
 
     Basic vertices move by s; the binder of {u, v} moves to the binder of
-    {u^s, v^s}, found by its rank in the pair order that bind places
-    binders in.
+    {u^s, v^s}.
     """
     n = b.basic_count
     if s.order != n:
@@ -108,10 +122,8 @@ def extend_automorphism(b: BindingGraph, s: Permutation) -> Permutation:
     basic = b.graph.matrix[:n, :n]
     if not np.array_equal(basic[np.ix_(im, im)], basic):
         raise ValueError("permutation is not an automorphism of the basic graph")
-    u, v = np.triu_indices(n, 1)  # binder n + r binds the r-th pair, as in bind
-    rank = np.empty((n, n), dtype=np.int64)
-    rank[u, v] = rank[v, u] = np.arange(u.size)
-    return Permutation(tuple((np.concatenate((im, n + rank[im[u], im[v]])) + 1).tolist()))
+    u, v, binder = _binder_order(n)
+    return Permutation(tuple((np.concatenate((im, binder[im[u], im[v]])) + 1).tolist()))
 
 
 def classify_cells(b: BindingGraph, p: Partition) -> list[CellClass]:
@@ -124,12 +136,4 @@ def classify_cells(b: BindingGraph, p: Partition) -> list[CellClass]:
     if p.order != b.order:
         raise ValueError(f"partition covers {p.order} vertices, binding graph has {b.order}")
     n = b.basic_count
-    out: list[CellClass] = []
-    for cell in p.cells:
-        if cell[-1] <= n:
-            out.append(BASIC)
-        elif cell[0] > n:
-            out.append(BINDING)
-        else:
-            out.append(MIXED)
-    return out
+    return [BASIC if cell[-1] <= n else BINDING if cell[0] > n else MIXED for cell in p.cells]

@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_harness)
 
     p = sub.add_parser("bench", help="time both verdicts of the decision procedure across sizes")
-    p.add_argument("--sizes", required=True, help="comma-separated ascending orders")
+    p.add_argument("--sizes", required=True, help="comma-separated, strictly ascending orders")
     p.add_argument("--samples", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

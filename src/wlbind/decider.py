@@ -1,7 +1,6 @@
 """The end-to-end isomorphism decision: union, bind, stabilize, inspect cells."""
 from __future__ import annotations
 
-import bisect
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -36,19 +35,14 @@ class GiVerdict:
 def shared_basic_cells(b: BindingGraph, p: Partition, n: int) -> list[tuple[int, ...]]:
     """Basic cells containing vertices from both halves of a 2n-vertex union.
 
-    A partition's cells are sorted: a cell meets the first half when its
-    first vertex is at most n, and the second when the first vertex above n
-    is at most 2n.
+    b binds the union, so a basic cell holds no vertex above 2n; being
+    sorted, it meets both halves exactly when its first vertex is at most n
+    and its last is above n.
     """
+    if b.basic_count != 2 * n:
+        raise ValueError(f"basic count {b.basic_count} is not twice the half order {n}")
     classes = classify_cells(b, p)
-    out = []
-    for cell, cls in zip(p.cells, classes):
-        if cls != BASIC or cell[0] > n:
-            continue
-        above = bisect.bisect_right(cell, n)
-        if above < len(cell) and cell[above] <= 2 * n:
-            out.append(cell)
-    return out
+    return [cell for cell, cls in zip(p.cells, classes) if cls == BASIC and cell[0] <= n < cell[-1]]
 
 
 def decide_iso(g: SimpleGraph, h: SimpleGraph) -> GiVerdict:

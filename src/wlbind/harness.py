@@ -54,9 +54,6 @@ def enumerate_graphs(n: int, connected_only: bool = True) -> list[SimpleGraph]:
     """
     if not 1 <= n <= MAX_ENUM_ORDER:
         raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_ORDER}, got {n}")
-    if n == 1:
-        return [SimpleGraph.from_edges(1, [])]
-
     slots = _pair_slots(n)
     e = len(slots)
     slot_of = {p: k for k, p in enumerate(slots)}
@@ -95,8 +92,6 @@ def enumerate_graphs(n: int, connected_only: bool = True) -> list[SimpleGraph]:
 
 def random_connected_graph(n: int, rng: random.Random) -> SimpleGraph:
     """G(n, 1/2) rejection-sampled until connected."""
-    if n == 1:
-        return SimpleGraph.from_edges(1, [])
     while True:
         edges = [
             (i, j)
@@ -286,7 +281,7 @@ def _check_edge_color_separation(b: BindingGraph, x: StableGraph) -> bool:
     basic = b.graph.matrix.tolist()
     edge_side: set[int] = set()
     nonedge_side: set[int] = set()
-    for (u, v), p in b.pair_index.items():
+    for p, (u, v) in enumerate(b.pairs(), n + 1):
         side = edge_side if basic[u - 1][v - 1] == EDGE else nonedge_side
         side.update((m[p - 1][u - 1], m[u - 1][p - 1], m[p - 1][v - 1], m[v - 1][p - 1]))
     if edge_side & nonedge_side:
@@ -309,7 +304,7 @@ def _check_pair_label_equivalences(b: BindingGraph, x: StableGraph) -> bool:
     distinct values over the pairs as the triples of all three do."""
     m = x.graph.matrix.tolist()
     feats = set()
-    for (u, v), p in b.pair_index.items():
+    for p, (u, v) in enumerate(b.pairs(), b.basic_count + 1):
         conn = tuple(sorted((m[u - 1][v - 1], m[v - 1][u - 1])))
         bedges = tuple(sorted((m[u - 1][p - 1], m[v - 1][p - 1])))
         feats.add((conn, bedges, m[p - 1][p - 1]))
@@ -390,8 +385,8 @@ def bench_scaling(
     size the median time (verdict_median_ms), and the process's peak RSS
     when the bench ends (peak_rss_mb).
     """
-    if not sizes or sorted(sizes) != list(sizes):
-        raise ValueError("sizes must be a non-empty ascending list")
+    if not sizes or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must be a non-empty, strictly ascending list")
     if any(not 2 <= s <= MAX_BENCH_SIZE for s in sizes):
         raise ValueError(f"sizes must lie in [2, {MAX_BENCH_SIZE}]")
     if samples < 1:

@@ -79,10 +79,12 @@ def test_bind_structure(n, data):
     for u in range(1, n + 1):
         assert b.graph.degree(u) == g.degree(u) + (n - 1)
     # every binding vertex touches exactly its own pair
-    for (u, v), p in b.pair_index.items():
+    pairs = b.pairs()
+    assert pairs == sorted((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
+    for p, (u, v) in enumerate(pairs, n + 1):
         assert b.graph.neighbors(p) == [u, v]
         assert b.pair_of(p) == (u, v)
-    assert sorted(b.pair_index.values()) == list(range(n + 1, n1 + 1))
+        assert binding_vertex(b, u, v) == binding_vertex(b, v, u) == p
     for p in (n, n1 + 1):
         with pytest.raises(ValueError):
             b.pair_of(p)
@@ -162,7 +164,7 @@ def test_extension_lands_in_binding_aut():
                 # membership by direct matrix check, then against the search
                 assert apply_permutation(b.graph, tau) == b.graph
                 assert tau.images in lifted_auts
-                for (u, v), p in b.pair_index.items():  # the per-pair definition
+                for p, (u, v) in enumerate(b.pairs(), n + 1):  # the per-pair definition
                     assert tau.apply(p) == binding_vertex(b, s.apply(u), s.apply(v))
 
 

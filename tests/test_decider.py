@@ -120,15 +120,19 @@ def test_shared_basic_cells_direct():
 
 
 def test_shared_basic_cells_matches_a_scan_of_every_member():
-    b = bind(disjoint_union(k(3), k(3)))  # order 21, basic count 6
     rng = random.Random(9)
-    for p in (random_partition(b.order, rng) for _ in range(300)):
-        for n in (2, 3, 4):
+    for n in (2, 3, 4):
+        b = bind(disjoint_union(k(n), k(n)))  # basic count 2n
+        for p in (random_partition(b.order, rng) for _ in range(300)):
             expected = [
                 c for c in p.cells
-                if max(c) <= 6 and any(v <= n for v in c) and any(n < v <= 2 * n for v in c)
+                if max(c) <= 2 * n and any(v <= n for v in c) and any(n < v <= 2 * n for v in c)
             ]
             assert shared_basic_cells(b, p, n) == expected
+        # n must name the halves of the union that b binds
+        for wrong in (n - 1, n + 1):
+            with pytest.raises(ValueError, match="not twice the half order"):
+                shared_basic_cells(b, p, wrong)
 
 
 # two strongly regular (16,6,2,2) graphs: the rook's graph of the 4x4 grid and

@@ -11,6 +11,7 @@ from wlbind import (
     SimpleGraph,
     apply_permutation,
     bind,
+    binding_vertex,
     disjoint_union,
     individualize,
     is_connected,
@@ -260,7 +261,8 @@ def _check_against_loops(g: SimpleGraph, h: SimpleGraph, p: Permutation) -> None
         return
     b = bind(g)
     rows, pair_index = ref_bind(g)
-    assert b.graph.matrix.tolist() == rows and b.pair_index == pair_index
+    assert b.graph.matrix.tolist() == rows
+    assert {(u, v): binding_vertex(b, u, v) for u, v in b.pairs()} == pair_index
     x = stabilize(b.graph)
     assert x.cells.cells == ref_cells(x.graph)
     assert phi_graph(b, x).matrix.tolist() == ref_phi_graph(b, x)

@@ -60,6 +60,7 @@ def case_counts(report):
 
 
 def test_enumerate_counts():
+    assert len(enumerate_graphs(1)) == 1
     assert len(enumerate_graphs(2)) == 1
     assert len(enumerate_graphs(3)) == 2
     assert len(enumerate_graphs(4)) == 6
@@ -367,6 +368,8 @@ def test_bench_validation():
         bench_scaling([], 1)
     with pytest.raises(ValueError):
         bench_scaling([5, 4], 1)
+    with pytest.raises(ValueError):
+        bench_scaling([4, 4], 1)
     with pytest.raises(ValueError):
         bench_scaling([4, 30], 1)
     with pytest.raises(ValueError):

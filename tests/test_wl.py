@@ -986,38 +986,27 @@ def test_certify_accepts_non_symmetric_fixpoints(rows):
     assert sub.graph == x.graph and sub.cells == x.cells
 
 
-def test_certify_agrees_with_is_stable_once_the_diagonal_is_recognized():
-    rng = np.random.default_rng(7)
-    corpus = [h for n in range(2, 6) for g in connected_classes(n) for h in (g, bind(g).graph)]
-    corpus += [LabeledGraph(rng.integers(0, 3, size=(n, n))) for n in range(2, 8) for _ in range(50)]
-    accepted = 0
-    for h in corpus:
-        g = recognize_vertices(h)
-        try:
-            certify_stable(g)
-        except ValueError as e:
-            assert "refinement fixpoint" in str(e)
-            assert not is_stable(g)
-        else:
-            accepted += 1
-            assert is_stable(g)
-    assert 0 < accepted < len(corpus)
-
-
 def test_is_stable_agrees_with_the_single_step_operations():
     """is_stable against the pure-Python steps, with no engine code: g is
     stable when recognizing its diagonal and one diamond-and-substitution
-    round both leave its partition unchanged."""
+    round both leave its partition unchanged. certify_stable rejects a
+    recognized non-fixpoint as such."""
     rng = np.random.default_rng(7)
     corpus = [h for n in range(2, 6) for g in connected_classes(n) for h in (g, bind(g).graph)]
     corpus += [LabeledGraph(rng.integers(0, 3, size=(n, n))) for n in range(2, 8) for _ in range(50)]
     corpus += [stabilize(g).graph for g in corpus]
-    stable = 0
+    stable = recognized_unstable = 0
     for g in corpus:
-        expected = equivalent(g, recognize_vertices(g)) and equivalent(g, evs(diamond(g)))
+        recognized = equivalent(g, recognize_vertices(g))
+        expected = recognized and equivalent(g, evs(diamond(g)))
         assert is_stable(g) == expected
         stable += expected
+        if recognized and not expected:
+            recognized_unstable += 1
+            with pytest.raises(ValueError, match="refinement fixpoint"):
+                certify_stable(g)
     assert len(corpus) // 2 < stable < len(corpus)
+    assert recognized_unstable > 0
 
 
 # --- similarity and equatable blocks --------------------------------------
