@@ -44,10 +44,13 @@ the only generator a certificate uses, and, where the full check is large
 classes (_search_witness). Each orbit is named by its smallest member,
 found by vectorized label lowering and pointer jumping (_orbit_labels).
 The checked members of a class are compared, by sorted signature vector,
-with the member before them, in entry blocks of bounded size, and a class
-that fails is split over all of its members by exact signature order.
-All numbering derives from matrix content alone, which is what makes
-stabilization permutation-equivariant and reproducible across runs.
+with the member before them, in entry blocks of bounded size; the check
+(_verify_streaming) only names the classes that fail. Splitting them over
+all of their members by exact signature order is a step of its own
+(_split_failing), which stabilize runs and a fixpoint test never needs: a
+test of m that finds a failing class has its answer. All numbering
+derives from matrix content alone, which is what makes stabilization
+permutation-equivariant and reproducible across runs.
 """
 from __future__ import annotations
 
@@ -548,22 +551,21 @@ def _group_by_class(check: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return key
 
 
-def _verify_streaming(m: np.ndarray, dim: int) -> tuple[np.ndarray, int, int, int]:
+def _verify_streaming(m: np.ndarray, dim: int) -> tuple[np.ndarray | None, int, int]:
     """Exact check that each color class of m holds one pair signature.
 
-    m: (n, n) with colors dense in [0, dim), not discrete (stabilize
-    certifies a discrete m before any round). The entries that decide
-    purity (all members of the shared classes, or one member of each orbit
-    of the verified generators, see _entries_to_check) are grouped by
-    class, and each is compared with the checked member before it in its
-    class, so a class holds one signature exactly when every comparison is
-    equal. Returns (labels, count, checked, generators): m and dim when
-    every class passes, else m's partition refined by exact signature (a
-    failing class is split over all of its members into sub-classes
-    numbered by (old color, signature order), with one class's signatures
-    materialized at a time); checked counts the entries whose signatures
-    the comparison computed, and generators is the number of verified
-    generators the check used.
+    m: (n, n) with colors dense in [0, dim), not discrete (a discrete m is
+    certified before any check). The entries that decide purity (all
+    members of the shared classes, or one member of each orbit of the
+    verified generators, see _entries_to_check) are grouped by class, and
+    each is compared with the checked member before it in its class, so a
+    class holds one signature exactly when every comparison is equal.
+    Returns (bad, checked, generators): bad is None when every class
+    passes, else the boolean mask over [0, dim) of the failing classes;
+    checked counts the entries whose signatures the comparison computed,
+    and generators is the number of verified generators the check used.
+    The check holds one block of signatures at a time; splitting the
+    failing classes is _split_failing's work.
     """
     flat = m.ravel()
     sizes = np.bincount(flat, minlength=dim)
@@ -578,17 +580,27 @@ def _verify_streaming(m: np.ndarray, dim: int) -> tuple[np.ndarray, int, int, in
         sigs = _signatures(m, dim, block)
         neq = (owner[1:] == owner[:-1]) & (sigs[1:] != sigs[:-1]).any(axis=1)
         bad[owner[1:][neq]] = True
-    checked = int(check.size)
-    if not bad.any():
-        return m, dim, checked, generators
-    del check
+    return (bad if bad.any() else None), int(check.size), generators
+
+
+def _split_failing(m: np.ndarray, dim: int, bad: np.ndarray) -> tuple[np.ndarray, int]:
+    """m's partition refined by exact signature, and its class count.
+
+    m: (n, n) with colors dense in [0, dim); bad: the mask of failing
+    classes _verify_streaming returned. Each failing class is split over
+    all of its members into sub-classes numbered by (old color, signature
+    order); the rest keep their color. One failing class's signatures are
+    materialized at a time, |class| x n int64 and a big-endian copy.
+    """
+    flat = m.ravel()
+    sizes = np.bincount(flat, minlength=dim)
     failing = _group_by_class(np.flatnonzero(bad[flat]), flat)
     sub = np.zeros(flat.size, dtype=np.int64)
     for members in np.split(failing, np.cumsum(sizes[bad])[:-1]):
         sigs = _signatures(m, dim, members).astype(">i8")  # byte order = numeric order
         sub[members] = compact(sigs.view(np.dtype((np.void, sigs.shape[1] * 8))).ravel())[0]
     labels, count = _rank(flat, sub)
-    return labels.reshape(m.shape), count, checked, generators
+    return labels.reshape(m.shape), count
 
 
 def compact(m: np.ndarray) -> tuple[np.ndarray, int]:

@@ -140,17 +140,19 @@ def stabilize(g: LabeledGraph) -> StableGraph:
     Stops at the first round whose dimension matches the previous one.
     Rounds group entries by hash; when a round adds no class, the matrix's
     own classes are checked exactly, and a collision the check finds is
-    split and counted as that round's refinement, so the fixpoint is the
-    exact one. Before each round, a partition that is discrete, or whose
-    classes are the entry orbits of a verified swap automorphism sigma, is
-    certified instead: the exact round cannot separate two entries of one
-    orbit (an automorphism maps one to the other and keeps their
-    signatures), so it would repeat the dimension. That confirming round
-    is counted (rounds and dims are those of a run that executes it) but
-    not run, and no check runs. Internal colors are assigned canonically
-    from matrix content, so the output is bitwise invariant under vertex
-    relabeling: stabilizing a permuted graph yields the permuted
-    stabilization. Orders above the pair hash's exactness bound are
+    split (_refine._split_failing) and counted as that round's refinement,
+    so the fixpoint is the exact one. Before each round, a partition that
+    is discrete, or whose classes are the entry orbits of a verified swap
+    automorphism sigma, is certified instead: the exact round cannot
+    separate two entries of one orbit (an automorphism maps one to the
+    other and keeps their signatures), so it would repeat the dimension.
+    That confirming round is counted (rounds and dims are those of a run
+    that executes it) but not run, and no check runs. certify_stable
+    applies the same certificate and check to a matrix that should already
+    be a fixpoint, without a round. Internal colors are assigned
+    canonically from matrix content, so the output is bitwise invariant
+    under vertex relabeling: stabilizing a permuted graph yields the
+    permuted stabilization. Orders above the pair hash's exactness bound are
     rejected before anything is allocated.
     """
     n = g.order
@@ -171,8 +173,10 @@ def stabilize(g: LabeledGraph) -> StableGraph:
                 break
             labels, count = _refine.refine_once(m, dim)
             if count == dim:  # hash fixpoint: confirm it exactly
-                labels, count, seen, generators = _refine._verify_streaming(m, dim)
+                bad, seen, generators = _refine._verify_streaming(m, dim)
                 checked += seen
+                if bad is not None:
+                    labels, count = _refine._split_failing(m, dim, bad)
             rounds += 1
             dims.append(count)
             if count == dim:
@@ -206,7 +210,8 @@ def _classes(colors: np.ndarray) -> Partition:
 
 
 def is_stable(g: LabeledGraph) -> bool:
-    """Whether certify_stable accepts g: stabilize leaves it unchanged.
+    """Whether certify_stable accepts g: its diagonal colours are its own and
+    each of its colour classes holds one pair signature.
 
     An order above the pair hash's exactness bound still raises.
     """
@@ -219,19 +224,40 @@ def is_stable(g: LabeledGraph) -> bool:
 
 
 def certify_stable(g: LabeledGraph) -> StableGraph:
-    """Wrap g, keeping its colours, as a StableGraph if stabilize leaves it unchanged.
+    """Wrap g, keeping its colours, as a StableGraph if it is a refinement fixpoint.
 
-    A non-fixpoint runs to its fixpoint before it is rejected, which costs
-    time only on that error path. With the diagonal recognized, a colour is
-    read back from its signature (for i != j, the only walk (i, k, j) whose
-    second colour is diagonal is k = j), so stabilize's check is the whole test.
+    No colour may sit both on and off the diagonal, so recognizing the
+    diagonal keeps g's classes; then the recognized matrix is certified by
+    entry orbits (_refine.orbit_certificate), or else its own classes are
+    checked exactly, and g is accepted when every class holds one pair
+    signature. With the diagonal recognized, a colour is read back from its
+    signature (for i != j, the only walk (i, k, j) whose second colour is
+    diagonal is k = j), so this is the fixpoint test stabilize applies, and
+    no round is run: the hash is a function of the signature, so a round
+    splits a class only where the check finds two signatures. The cells are
+    g's diagonal classes, and the trace is the one stabilize(g) records: one
+    confirming round (none at order 1). A failing class is named, not split.
     """
-    x = stabilize(g)
-    if x.trace.dims[0] != g.dim():  # recognize splits exactly the colours on and off it
+    n = g.order
+    _refine.check_order(n)
+    m, dim = _refine.recognize(_to_array(g))
+    if dim != g.dim():  # recognize splits exactly the colours on and off it
         raise ValueError("diagonal colors leak into off-diagonal entries")
-    if x.dim() != x.trace.dims[0]:  # the rounds split a class
-        raise ValueError("graph is not a refinement fixpoint")
-    return StableGraph(graph=g, cells=x.cells, trace=x.trace)
+    trace = StabilizationTrace(rounds=0, dims=(dim,))
+    if n > 1:
+        certificate = _refine.orbit_certificate(m, dim)
+        if certificate is not None:
+            trace = StabilizationTrace(
+                rounds=1, dims=(dim, dim), certified=True, generators=certificate
+            )
+        else:
+            bad, checked, generators = _refine._verify_streaming(m, dim)
+            if bad is not None:
+                raise ValueError("graph is not a refinement fixpoint")
+            trace = StabilizationTrace(
+                rounds=1, dims=(dim, dim), checked_entries=checked, generators=generators
+            )
+    return StableGraph(graph=g, cells=_classes(g.matrix.diagonal()), trace=trace)
 
 
 def embeds(a: LabeledGraph, b: LabeledGraph) -> bool:
@@ -269,7 +295,10 @@ def individualize(x: StableGraph, u: int) -> LabeledGraph:
     if not 1 <= u <= n:
         raise ValueError(f"vertex {u} out of range for order {n}")
     m = x.graph.matrix.copy()
-    m[u - 1, u - 1] = m.max() + 1
+    top = int(m.max())
+    if top == np.iinfo(np.int64).max:
+        raise ValueError(f"no fresh color fits int64: the graph already uses {top}")
+    m[u - 1, u - 1] = top + 1
     return LabeledGraph(m)
 
 
@@ -277,7 +306,8 @@ def restrict_to_cells(x: StableGraph, keep: Iterable[int]) -> StableGraph:
     """Induced subgraph on a union of cells, in x's colours, if certify_stable accepts it.
 
     keep holds 0-based indices into x.cells.cells. The kept vertices are
-    renumbered 1..m in ascending original order.
+    renumbered 1..m in ascending original order. The submatrix is tested,
+    not stabilized: certify_stable runs no refinement round.
     """
     idxs = sorted(set(keep))
     ncells = len(x.cells.cells)

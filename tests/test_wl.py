@@ -32,7 +32,7 @@ from wlbind import (
 )
 
 from wlbind.graphs import SimpleGraph
-from wlbind.harness import random_connected_graph
+from wlbind.harness import _subset_family, random_connected_graph
 
 from helpers import (
     AUT2_EDGES,
@@ -565,8 +565,11 @@ def _exact_refinement(m, labels):
 
 
 def _verify(m):
-    """The exact check of m's own color classes: its partition and checked entries."""
-    out, total, checked, _ = _refine._verify_streaming(m, int(m.max()) + 1)
+    """The exact check of m's own color classes, then the split of those that
+    fail: the partition and the checked entries."""
+    dim = int(m.max()) + 1
+    bad, checked, _ = _refine._verify_streaming(m, dim)
+    out, total = (m, dim) if bad is None else _refine._split_failing(m, dim, bad)
     return _partition_of(out.ravel(), total), checked
 
 
@@ -923,6 +926,15 @@ def test_individualize_out_of_range():
         individualize(stabilize(k(3)), 0)
 
 
+def test_individualize_needs_a_color_above_the_largest():
+    """certify_stable keeps the input's colors, so the largest int64 can be
+    one of them; no fresh color is left above it."""
+    top = np.iinfo(np.int64).max
+    x = certify_stable(LabeledGraph([[top, 0], [0, top]]))
+    with pytest.raises(ValueError, match="no fresh color fits int64"):
+        individualize(x, 1)
+
+
 # --- restriction ----------------------------------------------------------
 
 
@@ -986,15 +998,40 @@ def test_certify_accepts_non_symmetric_fixpoints(rows):
     assert sub.graph == x.graph and sub.cells == x.cells
 
 
+def _certify_reference(g):
+    """certify_stable as it was defined by a whole stabilize run: the cells
+    and trace of that run when g is accepted, else the message it raised."""
+    x = stabilize(g)
+    if x.trace.dims[0] != g.dim():
+        return "diagonal colors leak into off-diagonal entries"
+    if x.dim() != x.trace.dims[0]:
+        return "graph is not a refinement fixpoint"
+    return x.cells, x.trace
+
+
+def _certify_outcome(g):
+    try:
+        y = certify_stable(g)
+    except ValueError as err:
+        return str(err)
+    assert y.graph is g
+    return y.cells, y.trace
+
+
 def test_is_stable_agrees_with_the_single_step_operations():
     """is_stable against the pure-Python steps, with no engine code: g is
     stable when recognizing its diagonal and one diamond-and-substitution
     round both leave its partition unchanged. certify_stable rejects a
-    recognized non-fixpoint as such."""
+    recognized non-fixpoint as such. On those graphs, on every restriction
+    of their stabilizations that the lemma suite probes and on random
+    graphs of order 1, certify_stable accepts, with the cells and trace of
+    stabilize, exactly what a whole stabilize run leaves unchanged, and
+    rejects the rest with the same message."""
     rng = np.random.default_rng(7)
     corpus = [h for n in range(2, 6) for g in connected_classes(n) for h in (g, bind(g).graph)]
     corpus += [LabeledGraph(rng.integers(0, 3, size=(n, n))) for n in range(2, 8) for _ in range(50)]
-    corpus += [stabilize(g).graph for g in corpus]
+    stabilizations = [stabilize(g) for g in corpus]
+    corpus += [x.graph for x in stabilizations]
     stable = recognized_unstable = 0
     for g in corpus:
         recognized = equivalent(g, recognize_vertices(g))
@@ -1007,6 +1044,63 @@ def test_is_stable_agrees_with_the_single_step_operations():
                 certify_stable(g)
     assert len(corpus) // 2 < stable < len(corpus)
     assert recognized_unstable > 0
+
+    restrictions = []
+    for x in stabilizations:
+        for keep in _subset_family(len(x.cells.cells)):
+            vertices = np.array(sorted(v - 1 for i in keep for v in x.cells.cells[i]))
+            restrictions.append(LabeledGraph(x.graph.matrix[np.ix_(vertices, vertices)]))
+    order_one = [LabeledGraph(rng.integers(0, 3, size=(1, 1))) for _ in range(20)]
+    outcomes = set()
+    for g in corpus + restrictions + order_one:
+        expected = _certify_reference(g)
+        assert _certify_outcome(g) == expected
+        trace = None if isinstance(expected, str) else expected[1]
+        outcomes.add(expected if trace is None else (trace.rounds, trace.certified))
+    # both messages, and acceptance by certificate, by the check and at order 1
+    assert len(outcomes) == 5
+
+
+def test_certify_runs_no_hash_round(monkeypatch):
+    """certify_stable, is_stable and restrict_to_cells test a fixpoint by
+    its orbit certificate or by the exact check of its own classes, so on
+    stable inputs, certified and checked alike, no hash round runs."""
+    rng = random.Random(5)
+    base = random_connected_graph(8, rng)
+    graphs = [order10_graph(), petersen(), cycle(7), bind(path(4)).graph]
+    graphs += [disjoint_union(base, h) for h in (_planted(base, rng), random_connected_graph(8, rng))]
+    stable = [stabilize(g) for g in graphs]
+
+    def no_round(m, dim):
+        raise AssertionError("a hash round ran")
+
+    monkeypatch.setattr(_refine, "refine_once", no_round)
+    certified = set()
+    for x in stable:
+        y = certify_stable(x.graph)
+        assert y.cells == x.cells and y.trace.dims == (x.dim(), x.dim())
+        certified.add(y.trace.certified)
+        assert is_stable(x.graph)
+        cells = range(len(x.cells.cells))
+        assert restrict_to_cells(x, cells).graph == x.graph
+        for i in cells:
+            assert restrict_to_cells(x, [i]).cells.cells == (tuple(range(1, len(x.cells.cells[i]) + 1)),)
+    assert certified == {True, False}
+
+
+def test_is_stable_rejects_a_long_path_in_little_memory():
+    """The path P300 with diagonal color 2 is not a fixpoint: its ends differ
+    from its middle. The check names its failing classes and the test stops
+    there; splitting the class of its ~89,000 non-adjacent pairs would hold
+    all of their signatures at once, about 200 MiB."""
+    g = LabeledGraph(path(300).matrix + 2 * np.eye(300, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        assert not is_stable(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
 
 
 # --- similarity and equatable blocks --------------------------------------
