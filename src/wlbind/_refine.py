@@ -551,7 +551,9 @@ def _group_by_class(check: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return key
 
 
-def _verify_streaming(m: np.ndarray, dim: int) -> tuple[np.ndarray | None, int, int]:
+def _verify_streaming(
+    m: np.ndarray, dim: int, first: bool = False
+) -> tuple[np.ndarray | None, int, int]:
     """Exact check that each color class of m holds one pair signature.
 
     m: (n, n) with colors dense in [0, dim), not discrete (a discrete m is
@@ -565,7 +567,9 @@ def _verify_streaming(m: np.ndarray, dim: int) -> tuple[np.ndarray | None, int, 
     checked counts the entries whose signatures the comparison computed,
     and generators is the number of verified generators the check used.
     The check holds one block of signatures at a time; splitting the
-    failing classes is _split_failing's work.
+    failing classes is _split_failing's work. With first, a fixpoint
+    test's answer, it stops at the first block with a failing class, so
+    bad names only the failing classes found up to there.
     """
     flat = m.ravel()
     sizes = np.bincount(flat, minlength=dim)
@@ -580,6 +584,8 @@ def _verify_streaming(m: np.ndarray, dim: int) -> tuple[np.ndarray | None, int, 
         sigs = _signatures(m, dim, block)
         neq = (owner[1:] == owner[:-1]) & (sigs[1:] != sigs[:-1]).any(axis=1)
         bad[owner[1:][neq]] = True
+        if first and neq.any():
+            break
     return (bad if bad.any() else None), int(check.size), generators
 
 

@@ -36,57 +36,43 @@ from .wl import (
 )
 
 MAX_ENUM_ORDER = 7
-MAX_SWEEP_ORDER = 6
 MAX_BENCH_SIZE = 24
-
-
-def _pair_slots(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def enumerate_graphs(n: int, connected_only: bool = True) -> list[SimpleGraph]:
     """One representative per isomorphism class of order-n simple graphs.
 
     Exhaustive and exact: the representative is the minimum edge-set
-    bitmask over all n! relabelings, so the listing order is deterministic.
-    n is capped at 7 (2^21 bitmasks across 5040 relabelings; that sweep
-    takes a few minutes, everything below it is instantaneous).
+    bitmask over all n! relabelings, listed in ascending mask order. The
+    masks are walked in ascending order, and the smallest one not yet
+    marked is the minimum of its orbit, so it is the next representative;
+    one OR-reduce over the table of the bit each edge slot moves to under
+    each relabeling marks all n! of its images. That costs
+    (classes) * n! * n(n-1)/2 bit operations and one byte per mask: n = 7
+    (1044 classes, 5040 relabelings, 2^21 masks) takes about 0.1 s. n is
+    capped at 7.
     """
     if not 1 <= n <= MAX_ENUM_ORDER:
         raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_ORDER}, got {n}")
-    slots = _pair_slots(n)
-    e = len(slots)
-    slot_of = {p: k for k, p in enumerate(slots)}
-    lo_bits = (e + 1) // 2
-    lo_mask = (1 << lo_bits) - 1
-
-    masks = np.arange(1 << e, dtype=np.uint32)
-    lo = masks & np.uint32(lo_mask)
-    hi = masks >> np.uint32(lo_bits)
-    canon = masks.copy()
-    for perm in itertools.permutations(range(n)):
-        # where each edge slot lands after relabeling by perm
-        dest = [0] * e
-        for k, (i, j) in enumerate(slots):
-            a, b = perm[i], perm[j]
-            dest[k] = slot_of[(a, b) if a < b else (b, a)]
-        t_lo = np.zeros(1 << lo_bits, dtype=np.uint32)
-        t_hi = np.zeros(1 << (e - lo_bits), dtype=np.uint32)
-        for k in range(lo_bits):
-            idx = np.nonzero(np.arange(1 << lo_bits) & (1 << k))[0]
-            t_lo[idx] |= np.uint32(1 << dest[k])
-        for k in range(lo_bits, e):
-            idx = np.nonzero(np.arange(1 << (e - lo_bits)) & (1 << (k - lo_bits)))[0]
-            t_hi[idx] |= np.uint32(1 << dest[k])
-        np.minimum(canon, t_lo[lo] | t_hi[hi], out=canon)
-
-    reps = np.nonzero(canon == masks)[0]
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    slot = np.zeros((n, n), dtype=np.uint32)  # slot[a, b]: the edge slot of pair {a, b}
+    for k, (i, j) in enumerate(slots):
+        slot[i, j] = slot[j, i] = k
+    ends = np.array(slots, dtype=np.intp).reshape(-1, 2)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    # image[p, k]: the bit that edge slot k moves to under relabeling perms[p]
+    image = np.uint32(1) << slot[perms[:, ends[:, 0]], perms[:, ends[:, 1]]]
+    end = 1 << len(slots)
+    marked = np.zeros(end + 1, dtype=bool)  # marked[end] stays False: the walk's stop
     out = []
-    for mask in reps.tolist():
-        edges = [(i + 1, j + 1) for k, (i, j) in enumerate(slots) if mask >> k & 1]
-        g = SimpleGraph.from_edges(n, edges)
+    mask = 0
+    while mask < end:
+        bits = [k for k in range(len(slots)) if mask >> k & 1]
+        marked[np.bitwise_or.reduce(image[:, bits], axis=1)] = True
+        g = SimpleGraph.from_edges(n, [(slots[k][0] + 1, slots[k][1] + 1) for k in bits])
         if not connected_only or is_connected(g):
             out.append(g)
+        mask += int(marked[mask:].argmin())
     return out
 
 
@@ -144,8 +130,8 @@ def _sweep(
 ) -> dict:
     """Run an experiment on every connected graph of order 2..max_n, one per
     isomorphism class; cases(n, graphs) yields the cases of one order."""
-    if not 2 <= max_n <= MAX_SWEEP_ORDER:
-        raise ValueError(f"{experiment} sweep supports 2 <= max_n <= {MAX_SWEEP_ORDER}")
+    if not 2 <= max_n <= MAX_ENUM_ORDER:
+        raise ValueError(f"{experiment} sweep supports 2 <= max_n <= {MAX_ENUM_ORDER}")
     started = time.perf_counter()
     corpus = {n: enumerate_graphs(n) for n in range(2, max_n + 1)}
     report = _new_report(experiment, None, {n: len(gs) for n, gs in corpus.items()})

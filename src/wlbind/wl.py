@@ -236,7 +236,8 @@ def certify_stable(g: LabeledGraph) -> StableGraph:
     no round is run: the hash is a function of the signature, so a round
     splits a class only where the check finds two signatures. The cells are
     g's diagonal classes, and the trace is the one stabilize(g) records: one
-    confirming round (none at order 1). A failing class is named, not split.
+    confirming round (none at order 1). The check stops at its first failing
+    class, which is named, not split.
     """
     n = g.order
     _refine.check_order(n)
@@ -251,7 +252,7 @@ def certify_stable(g: LabeledGraph) -> StableGraph:
                 rounds=1, dims=(dim, dim), certified=True, generators=certificate
             )
         else:
-            bad, checked, generators = _refine._verify_streaming(m, dim)
+            bad, checked, generators = _refine._verify_streaming(m, dim, first=True)
             if bad is not None:
                 raise ValueError("graph is not a refinement fixpoint")
             trace = StabilizationTrace(

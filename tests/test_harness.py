@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -35,7 +36,7 @@ from wlbind.harness import (
     verify_counterexample,
 )
 
-from helpers import all_graphs, brute_force_has_iso, k, path
+from helpers import all_graphs, brute_force_has_iso, k, mask_to_graph, path
 
 TOP_KEYS = [
     "experiment",
@@ -67,6 +68,38 @@ def test_enumerate_counts():
     assert len(enumerate_graphs(5)) == 21
     assert len(enumerate_graphs(6)) == 112
     assert len(enumerate_graphs(4, connected_only=False)) == 11
+
+
+def _min_mask_classes(n, connected_only):
+    """The brute-force listing: each labeled graph's minimum edge bitmask over
+    all n! relabelings, one graph per distinct minimum, in ascending order."""
+    slots = list(itertools.combinations(range(n), 2))
+    perms = list(itertools.permutations(range(n)))
+    minima = set()
+    for g in all_graphs(n):
+        a = g.matrix.tolist()
+        minima.add(min(
+            sum(1 << t for t, (i, j) in enumerate(slots) if a[p[i]][p[j]])
+            for p in perms
+        ))
+    graphs = [mask_to_graph(n, mask) for mask in sorted(minima)]
+    return [g for g in graphs if not connected_only or is_connected(g)]
+
+
+@pytest.mark.parametrize("connected_only", [True, False])
+def test_enumerate_matches_brute_force_minimum_masks(connected_only):
+    for n in range(1, 6):
+        expected = _min_mask_classes(n, connected_only)
+        got = enumerate_graphs(n, connected_only=connected_only)
+        assert [g.matrix.tolist() for g in got] == [g.matrix.tolist() for g in expected]
+
+
+def test_enumerate_order_seven():
+    """OEIS A001349 and A000088: 853 connected graphs of order 7, 1044 in all."""
+    started = time.perf_counter()
+    assert len(enumerate_graphs(7)) == 853
+    assert len(enumerate_graphs(7, connected_only=False)) == 1044
+    assert time.perf_counter() - started < 1.0
 
 
 def test_enumerate_rejects_large():

@@ -89,7 +89,7 @@ def test_oracle_symmetry_order5():
 
 def test_sweep_preconditions():
     with pytest.raises(ValueError):
-        run_agreement(7)
+        run_agreement(8)  # the first order past the enumeration cap
     with pytest.raises(ValueError):
         run_orbit_check(1)
     with pytest.raises(ValueError):

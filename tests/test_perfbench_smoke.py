@@ -46,6 +46,10 @@ def test_untraced_benchmark_run_ends_with_the_end_to_end_metrics(workload):
     assert sorted(result["metrics"]) == sorted(m["name"] for m in spec["end_to_end"])
 
 
+def test_traced_decide_benchmark_run_ends_with_its_result():
+    _check_traced_run("decide")  # both verdicts, as the benchmark traces them
+
+
 def test_traced_benchmark_run_ends_with_its_result():
     _check_traced_run("decide-iso")
 

@@ -1103,6 +1103,23 @@ def test_is_stable_rejects_a_long_path_in_little_memory():
     assert peak < 32 << 20
 
 
+def test_is_stable_rejects_at_the_first_failing_block(monkeypatch):
+    """The fixpoint test has its answer at the first class that fails, so on
+    P300 with diagonal color 2 it computes a handful of signature blocks,
+    not the 413 that cover every checked entry."""
+    g = LabeledGraph(path(300).matrix + 2 * np.eye(300, dtype=np.int64))
+    calls = []
+    signatures = _refine._signatures
+
+    def counted(*args):
+        calls.append(1)
+        return signatures(*args)
+
+    monkeypatch.setattr(_refine, "_signatures", counted)
+    assert not is_stable(g)
+    assert 0 < len(calls) <= 5
+
+
 # --- similarity and equatable blocks --------------------------------------
 
 
