@@ -37,12 +37,16 @@ each of its orbits does, so the check compares those members alone
 
 Generators are only ever candidates, kept when m is invariant under them,
 however they were guessed, so a wrong one can cost time but never change
-an answer. Two sources propose them: the swap sigma that exchanges the two
-vertices of every two-vertex diagonal class (when no class is larger),
-the only generator a certificate uses, and, where the full check is large
-(_SEARCH_GATE), a budgeted individualization search on m's diagonal
-classes (_search_witness). Each orbit is named by its smallest member,
-found by vectorized label lowering and pointer jumping (_orbit_labels).
+an answer. Each source has one role. The swap sigma that exchanges the
+two vertices of every two-vertex diagonal class (when no class is
+larger) only certifies: offered to the check as well, it pruned about
+one check in thirteen of the lemma sweep to order 6 (orders <= 21) and
+none in decisions on order-10 and order-12 pairs, while every check
+read it off the diagonal again. A budgeted individualization search on
+m's diagonal classes (_search_witness), run where the full check is
+large (_SEARCH_GATE), is the check's only source of generators. Each
+orbit is named by its smallest member, found by vectorized label
+lowering and pointer jumping (_orbit_labels).
 The checked members of a class are compared, by sorted signature vector,
 with the member before them, in entry blocks of bounded size; the check
 (_verify_streaming) only names the classes that fail. Splitting them over
@@ -311,9 +315,9 @@ def _swap_witness(m: np.ndarray) -> np.ndarray | None:
 
     sigma swaps the two vertices of every diagonal class of size two and
     fixes the rest; None when some class has three or more vertices, or
-    none has two (sigma would be the identity, which prunes nothing).
-    Nothing here is trusted: the caller checks that sigma preserves what
-    it relies on.
+    none has two (sigma would be the identity, which certifies nothing).
+    Nothing here is trusted: orbit_certificate, its one caller, checks
+    that m is sigma-invariant.
     """
     diag = m.diagonal()
     sizes = np.bincount(diag)
@@ -497,11 +501,13 @@ def _entries_to_check(m: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, int
     pruned them.
 
     Without a generator these are the members of every class of two or
-    more. Candidates are the swap sigma and, when the full check would
-    compare more than _SEARCH_GATE signature elements, the
-    individualization search, given a budget of one split per
-    _SEARCH_SHARE entries of the full check; keep, the one place every
-    candidate is verified, accepts one only if m is invariant under it.
+    more. The only candidates come from the individualization search, run
+    when the full check would compare more than _SEARCH_GATE signature
+    elements, with a budget of one split per _SEARCH_SHARE entries of the
+    full check. keep, the one place every candidate is verified (once:
+    its verdicts are memoized), accepts one only if m is invariant under
+    it; the search's output goes through keep again, so a search that
+    returned an unverified map would change nothing.
     Then every class of m is a union of entry orbits of the kept
     generators, so it holds one signature exactly when the smallest
     members of its orbits do; only classes with two or more such members
@@ -522,11 +528,9 @@ def _entries_to_check(m: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, int
             verdicts[key] = _preserves(gamma, m)
         return verdicts[key]
 
-    sigma = _swap_witness(m)
-    candidates = [] if sigma is None else [sigma]
+    kept: list[np.ndarray] = []
     if full * n > _SEARCH_GATE:
-        candidates += _search_witness(m, full // _SEARCH_SHARE, keep)
-    kept = [g for g in candidates if keep(g)]
+        kept = [g for g in _search_witness(m, full // _SEARCH_SHARE, keep) if keep(g)]
     if not kept:
         return np.flatnonzero(shared), 0
     del shared
@@ -559,13 +563,14 @@ def _verify_streaming(
     m: (n, n) with colors dense in [0, dim), not discrete (a discrete m is
     certified before any check). The entries that decide purity (all
     members of the shared classes, or one member of each orbit of the
-    verified generators, see _entries_to_check) are grouped by class, and
-    each is compared with the checked member before it in its class, so a
-    class holds one signature exactly when every comparison is equal.
-    Returns (bad, checked, generators): bad is None when every class
-    passes, else the boolean mask over [0, dim) of the failing classes;
-    checked counts the entries whose signatures the comparison computed,
-    and generators is the number of verified generators the check used.
+    search's verified generators, see _entries_to_check) are grouped by
+    class, and each is compared with the checked member before it in its
+    class, so a class holds one signature exactly when every comparison
+    is equal. Returns (bad, checked, generators): bad is None when every
+    class passes, else the boolean mask over [0, dim) of the failing
+    classes; checked counts the entries whose signatures the comparison
+    computed, and generators is the number of verified search generators
+    that pruned them (0 where the search did not run or found none).
     The check holds one block of signatures at a time; splitting the
     failing classes is _split_failing's work. With first, a fixpoint
     test's answer, it stops at the first block with a failing class, so

@@ -47,8 +47,6 @@ def _cmd_stabilize(args: argparse.Namespace) -> int:
         print(f"checked entries: {x.trace.checked_entries} of {x.order * x.order}")
         print(f"certified: {'yes' if x.trace.certified else 'no'}")
         print(f"generators: {x.trace.generators}")
-        if x.trace.exceeded_iteration_hint:
-            print("note: round count exceeded the n*log2(n) bookkeeping threshold")
     return 0
 
 

@@ -10,7 +10,6 @@ similarity test, and the equatable-block probe.
 """
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -44,25 +43,31 @@ class SignatureMatrix:
 
 @dataclass(frozen=True)
 class StabilizationTrace:
-    """Round count and the dimension after recoloring and after each round.
+    """The dimension after recoloring and after each round, and how the
+    fixpoint was confirmed.
 
-    rounds counts refinement rounds including the final confirming one
-    whose dimension repeats; dims[0] is the dimension right after the
-    diagonal recoloring. certified is true when the fixpoint was confirmed
-    by entry orbits of verified automorphisms, in which case the
-    confirming round is counted but not run. generators is the number of
-    verified generators the last certificate or exact check used.
-    checked_entries counts the entries whose exact signature the fixpoint
-    checks compared: 0 when certified or at a discrete fixpoint, and at
-    most one member of each entry orbit of the verified generators.
+    dims[0] is the dimension right after the diagonal recoloring; above
+    order 1, the last dimension is the final confirming round's and
+    repeats the one before it. rounds is read off dims, so the two cannot
+    disagree. certified is
+    true when the fixpoint was confirmed by entry orbits of verified
+    automorphisms, in which case the confirming round is counted but not
+    run. generators is the number of verified generators the last
+    certificate or exact check used. checked_entries counts the entries
+    whose exact signature the fixpoint checks compared: 0 when certified
+    or at a discrete fixpoint, and at most one member of each entry orbit
+    of the verified generators.
     """
 
-    rounds: int
     dims: tuple[int, ...]
-    exceeded_iteration_hint: bool = False
     checked_entries: int = 0
     certified: bool = False
     generators: int = 0
+
+    @property
+    def rounds(self) -> int:
+        """Refinement rounds, including the final confirming one."""
+        return len(self.dims) - 1
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,6 @@ def stabilize(g: LabeledGraph) -> StableGraph:
     _refine.check_order(n)
     m, dim = _refine.recognize(_to_array(g))
     dims = [dim]
-    rounds = 0
     checked = 0
     certified = False
     generators = 0
@@ -168,7 +172,6 @@ def stabilize(g: LabeledGraph) -> StableGraph:
             certificate = _refine.orbit_certificate(m, dim)
             if certificate is not None:
                 certified, generators = True, certificate
-                rounds += 1
                 dims.append(dim)
                 break
             labels, count = _refine.refine_once(m, dim)
@@ -177,11 +180,10 @@ def stabilize(g: LabeledGraph) -> StableGraph:
                 checked += seen
                 if bad is not None:
                     labels, count = _refine._split_failing(m, dim, bad)
-            rounds += 1
             dims.append(count)
             if count == dim:
                 break
-            if rounds > n * n:
+            if len(dims) - 1 > n * n:
                 raise RuntimeError(
                     f"refinement failed to stabilize within {n * n} rounds; "
                     "this is a contract violation in the engine"
@@ -189,14 +191,8 @@ def stabilize(g: LabeledGraph) -> StableGraph:
             m, dim = labels, count
 
     final = _from_array(m + 1)
-    hint = rounds > max(2, math.ceil(n * math.log2(n))) if n > 1 else False
     trace = StabilizationTrace(
-        rounds=rounds,
-        dims=tuple(dims),
-        exceeded_iteration_hint=hint,
-        checked_entries=checked,
-        certified=certified,
-        generators=generators,
+        dims=tuple(dims), checked_entries=checked, certified=certified, generators=generators
     )
     return StableGraph(graph=final, cells=_classes(final.matrix.diagonal()), trace=trace)
 
@@ -244,20 +240,19 @@ def certify_stable(g: LabeledGraph) -> StableGraph:
     m, dim = _refine.recognize(_to_array(g))
     if dim != g.dim():  # recognize splits exactly the colours on and off it
         raise ValueError("diagonal colors leak into off-diagonal entries")
-    trace = StabilizationTrace(rounds=0, dims=(dim,))
+    dims, checked, certified, generators = [dim], 0, False, 0
     if n > 1:
+        dims.append(dim)
         certificate = _refine.orbit_certificate(m, dim)
         if certificate is not None:
-            trace = StabilizationTrace(
-                rounds=1, dims=(dim, dim), certified=True, generators=certificate
-            )
+            certified, generators = True, certificate
         else:
             bad, checked, generators = _refine._verify_streaming(m, dim, first=True)
             if bad is not None:
                 raise ValueError("graph is not a refinement fixpoint")
-            trace = StabilizationTrace(
-                rounds=1, dims=(dim, dim), checked_entries=checked, generators=generators
-            )
+    trace = StabilizationTrace(
+        dims=tuple(dims), checked_entries=checked, certified=certified, generators=generators
+    )
     return StableGraph(graph=g, cells=_classes(g.matrix.diagonal()), trace=trace)
 
 

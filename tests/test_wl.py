@@ -589,16 +589,17 @@ def test_verify_checks_the_matrix_is_swap_invariant():
 def test_verify_splits_a_mismatched_pair_among_swap_pairs():
     """m is sigma-invariant, and its color 3 holds the sigma-pairs
     {(0,2), (1,3)} and {(0,3), (1,2)}, which share a signature, and the pair
-    {(2,3), (3,2)}, which has another. The check compares one member of each
-    pair and splits the class exactly."""
+    {(2,3), (3,2)}, which has another. sigma only certifies, so the check
+    compares every entry of the shared classes and splits the class
+    exactly."""
     m = np.array([[0, 2, 3, 3], [2, 0, 3, 3], [4, 4, 1, 3], [4, 4, 3, 1]])
     assert _refine._preserves(_SIGMA, m)
     partition, checked = _verify(m)
     assert partition == _exact_refinement(m, m)
     assert [2, 3, 6, 7] in partition and [11, 14] in partition
-    # (0,2), (0,3), (2,3) of color 3 and (2,0), (2,1) of color 4; every other
-    # class is one sigma-pair
-    assert checked == 5
+    # every class has two or more entries, and no generator prunes them
+    assert checked == 16
+    assert _refine._verify_streaming(m, int(m.max()) + 1)[2] == 0
 
 
 def _witness_cases(n):
@@ -877,7 +878,7 @@ def test_block_partition_order10():
     x = stabilize(order10_graph())
     assert block_partition(x, 1).cells == ((1,), (2, 5), (3, 4, 7, 10), (6,), (8, 9))
     for u in range(1, 11):
-        assert block_partition(x, u).refines(x.cells) or True  # refinement checked below
+        assert block_partition(x, u).refines(x.cells)
         assert block_partition(x, u).cell_of(u) == (u,)
 
 
