@@ -112,9 +112,11 @@ def _keep_freed_memory(libc: Any) -> bool:
 
 _keep_freed_memory(_glibc())
 
-MAX_ORDER = 8192  # N * (2^20 - 1)^2 < 2^53: each hash sum is an exact float64 integer
+_WEIGHT_BITS = 20  # a color's hash weight is below 2^_WEIGHT_BITS
+# N * (2^w - 1)^2 < 2^53 for w weight bits: each hash sum is an exact float64 integer
+MAX_ORDER = 1 << (53 - 2 * _WEIGHT_BITS)
 
-_BLOCK = 1 << 16  # signature elements per verify block: bounds the signatures held at once
+_BLOCK = 1 << 16  # signature elements per verify or split block: bounds the signatures held at once
 
 # The witness search runs where the full check compares more than _SEARCH_GATE
 # signature elements, with a budget of one split per _SEARCH_SHARE entries of
@@ -132,7 +134,7 @@ _SEEDS = np.array(
     [0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xD6E8FEB86659FD93],
     dtype=np.uint64,
 )
-_WEIGHT_SHIFT = np.uint64(64 - 20)  # a weight is the top 20 bits of a mixed color
+_WEIGHT_SHIFT = np.uint64(64 - _WEIGHT_BITS)  # a weight is the top bits of a mixed color
 _PROJECT = np.uint64(0xFF51AFD7ED558CCD)  # odd: hash = h0 * _PROJECT + h1 mod 2^64
 # a color is below N^2, so it takes at most 26 bits of a class key: 38 or more stay for the hash
 assert MAX_ORDER**2 <= 1 << 26
@@ -150,8 +152,8 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def _draw_weights(dim: int, row: int) -> np.ndarray:
-    """Weight of each color in [0, dim) for seed row: the top 20 bits of
-    splitmix64(color + seed), an integer and exact in float64."""
+    """Weight of each color in [0, dim) for seed row: the top _WEIGHT_BITS
+    bits of splitmix64(color + seed), an integer and exact in float64."""
     z = _mix64(np.arange(dim, dtype=np.uint64) + _SEEDS[row])
     return np.right_shift(z, _WEIGHT_SHIFT, out=z).astype(np.float64)
 
@@ -206,7 +208,7 @@ def _key(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
     """
     bits = np.uint64(int(major.max()).bit_length())
     key = minor.astype(np.uint64, copy=False) << bits
-    key |= major.view(np.uint64) if major.dtype == np.int64 else major.astype(np.uint64)
+    key |= major.view(np.uint64)
     return key
 
 
@@ -290,7 +292,7 @@ def _sort_runs(key: np.ndarray, order: np.ndarray, shift: int) -> None:
         start = b
 
 
-def refine_once(m: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
+def refine_once(m: np.ndarray) -> tuple[np.ndarray, int]:
     """One hash round of diamond-and-substitution on a dense color matrix.
 
     m: (n, n) int64 with colors dense in [0, dim). Returns the relabeled
@@ -600,24 +602,37 @@ def _split_failing(m: np.ndarray, dim: int, bad: np.ndarray) -> tuple[np.ndarray
     m: (n, n) with colors dense in [0, dim); bad: the mask of failing
     classes _verify_streaming returned. Each failing class is split over
     all of its members into sub-classes numbered by (old color, signature
-    order); the rest keep their color. One failing class's signatures are
-    materialized at a time, |class| x n int64 and a big-endian copy.
+    order); the rest keep their color. A class is read in blocks of
+    _BLOCK // n members, twice: the first pass merges each block's
+    signatures into the class's sorted distinct ones, the second numbers
+    each block by its rank among them. So one block of signatures is held
+    at a time, besides the class's distinct ones.
     """
     flat = m.ravel()
     sizes = np.bincount(flat, minlength=dim)
     failing = _group_by_class(np.flatnonzero(bad[flat]), flat)
     sub = np.zeros(flat.size, dtype=np.int64)
+    step = max(1, _BLOCK // m.shape[0])
+
+    def keys(entries: np.ndarray) -> np.ndarray:
+        """Each entry's signature as one void, big-endian: byte order = numeric order."""
+        sigs = _signatures(m, dim, entries).astype(">i8")
+        return sigs.view(np.dtype((np.void, sigs.shape[1] * 8))).ravel()
+
     for members in np.split(failing, np.cumsum(sizes[bad])[:-1]):
-        sigs = _signatures(m, dim, members).astype(">i8")  # byte order = numeric order
-        sub[members] = compact(sigs.view(np.dtype((np.void, sigs.shape[1] * 8))).ravel())[0]
+        blocks = [members[start:start + step] for start in range(0, members.size, step)]
+        seen = keys(members[:0])
+        for block in blocks:
+            seen = np.unique(np.concatenate((seen, keys(block))))
+        for block in blocks:
+            sub[block] = np.searchsorted(seen, keys(block))
     labels, count = _rank(flat, sub)
     return labels.reshape(m.shape), count
 
 
 def compact(m: np.ndarray) -> tuple[np.ndarray, int]:
     """Relabel values to dense [0, D) by ascending original value: the
-    engine's one np.unique numbering (split cells, search start cells, and
-    the sub-classes of a failing class)."""
+    numbering of the witness search's start cells and split cells."""
     uniq, inverse = np.unique(m.ravel(), return_inverse=True)
     return inverse.reshape(m.shape).astype(np.int64), int(uniq.shape[0])
 

@@ -15,12 +15,11 @@ from .wl import stabilize
 class GiVerdict:
     """Decision plus the evidence it was read off from.
 
-    isomorphic is true exactly when shared_basic_cells is non-empty; the
-    remaining fields make the verdict self-contained for counterexample
+    isomorphic is read off shared_basic_cells, so the two cannot disagree;
+    the remaining fields make the verdict self-contained for counterexample
     records.
     """
 
-    isomorphic: bool
     shared_basic_cells: tuple[tuple[int, ...], ...]
     stable_dim: int
     rounds: int
@@ -28,19 +27,26 @@ class GiVerdict:
     reason: Optional[str] = None
 
     @property
+    def isomorphic(self) -> bool:
+        """Whether some basic cell holds vertices of both halves."""
+        return bool(self.shared_basic_cells)
+
+    @property
     def decision(self) -> str:
         return "isomorphic" if self.isomorphic else "non-isomorphic"
 
 
-def shared_basic_cells(b: BindingGraph, p: Partition, n: int) -> list[tuple[int, ...]]:
-    """Basic cells containing vertices from both halves of a 2n-vertex union.
+def shared_basic_cells(b: BindingGraph, p: Partition) -> list[tuple[int, ...]]:
+    """Basic cells containing vertices from both halves of the union b binds.
 
-    b binds the union, so a basic cell holds no vertex above 2n; being
-    sorted, it meets both halves exactly when its first vertex is at most n
-    and its last is above n.
+    The halves are 1..n and n+1..2n, n half of b's basic count, so a basic
+    cell holds no vertex above 2n; being sorted, it meets both halves exactly
+    when its first vertex is at most n and its last is above n. An odd basic
+    count means b binds no two-half union, and is rejected.
     """
-    if b.basic_count != 2 * n:
-        raise ValueError(f"basic count {b.basic_count} is not twice the half order {n}")
+    n, odd = divmod(b.basic_count, 2)
+    if odd:
+        raise ValueError(f"basic count {b.basic_count} is odd: b binds no union of two halves")
     classes = classify_cells(b, p)
     return [cell for cell, cls in zip(p.cells, classes) if cls == BASIC and cell[0] <= n < cell[-1]]
 
@@ -64,7 +70,6 @@ def decide_iso(g: SimpleGraph, h: SimpleGraph) -> GiVerdict:
             )
     if g.order != h.order:
         return GiVerdict(
-            isomorphic=False,
             shared_basic_cells=(),
             stable_dim=0,
             rounds=0,
@@ -82,10 +87,8 @@ def decide_iso(g: SimpleGraph, h: SimpleGraph) -> GiVerdict:
     union = disjoint_union(g, h)
     b = bind(union)
     x = stabilize(b.graph)
-    shared = shared_basic_cells(b, x.cells, n)
     return GiVerdict(
-        isomorphic=bool(shared),
-        shared_basic_cells=tuple(tuple(c) for c in shared),
+        shared_basic_cells=tuple(tuple(c) for c in shared_basic_cells(b, x.cells)),
         stable_dim=x.dim(),
         rounds=x.trace.rounds,
         timing_ms=(time.perf_counter() - t0) * 1000.0,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -72,15 +73,23 @@ class StabilizationTrace:
 
 @dataclass(frozen=True)
 class StableGraph:
-    """A refinement fixpoint: canonical colours from stabilize, its own if certified."""
+    """A refinement fixpoint: canonical colours from stabilize, its own if certified.
+
+    Its cells are read off the graph, not stored beside it, so a copy with
+    another graph (dataclasses.replace) has that graph's cells.
+    """
 
     graph: LabeledGraph
-    cells: Partition
     trace: StabilizationTrace
 
     @property
     def order(self) -> int:
         return self.graph.order
+
+    @cached_property
+    def cells(self) -> Partition:
+        """The diagonal colour classes, computed on first use and kept."""
+        return _classes(self.graph.matrix.diagonal())
 
     def dim(self) -> int:
         """Distinct colors of the graph: the trace's last dimension, not a rescan."""
@@ -174,7 +183,7 @@ def stabilize(g: LabeledGraph) -> StableGraph:
                 certified, generators = True, certificate
                 dims.append(dim)
                 break
-            labels, count = _refine.refine_once(m, dim)
+            labels, count = _refine.refine_once(m)
             if count == dim:  # hash fixpoint: confirm it exactly
                 bad, seen, generators = _refine._verify_streaming(m, dim)
                 checked += seen
@@ -194,7 +203,7 @@ def stabilize(g: LabeledGraph) -> StableGraph:
     trace = StabilizationTrace(
         dims=tuple(dims), checked_entries=checked, certified=certified, generators=generators
     )
-    return StableGraph(graph=final, cells=_classes(final.matrix.diagonal()), trace=trace)
+    return StableGraph(graph=final, trace=trace)
 
 
 def _classes(colors: np.ndarray) -> Partition:
@@ -253,7 +262,7 @@ def certify_stable(g: LabeledGraph) -> StableGraph:
     trace = StabilizationTrace(
         dims=tuple(dims), checked_entries=checked, certified=certified, generators=generators
     )
-    return StableGraph(graph=g, cells=_classes(g.matrix.diagonal()), trace=trace)
+    return StableGraph(graph=g, trace=trace)
 
 
 def embeds(a: LabeledGraph, b: LabeledGraph) -> bool:

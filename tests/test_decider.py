@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +101,11 @@ def test_planted_isomorphism_is_found(n, seed, data):
     assert decide_iso(g, apply_permutation(g, p)).isomorphic
 
 
+def test_verdict_is_read_off_its_shared_cells():
+    v = decide_iso(k(3), k(3))
+    assert v.isomorphic and not replace(v, shared_basic_cells=()).isomorphic
+
+
 def test_shared_cells_straddle_both_halves():
     v = decide_iso(cycle(5), cycle(5))
     n = 5
@@ -111,12 +117,12 @@ def test_shared_cells_straddle_both_halves():
 def test_shared_basic_cells_direct():
     b = bind(disjoint_union(k(3), k(3)))
     x = stabilize(b.graph)
-    shared = shared_basic_cells(b, x.cells, 3)
+    shared = shared_basic_cells(b, x.cells)
     assert shared and all(max(c) <= 6 for c in shared)
 
     b2 = bind(disjoint_union(cycle(4), star(4)))
     x2 = stabilize(b2.graph)
-    assert shared_basic_cells(b2, x2.cells, 4) == []
+    assert shared_basic_cells(b2, x2.cells) == []
 
 
 def test_shared_basic_cells_matches_a_scan_of_every_member():
@@ -128,11 +134,15 @@ def test_shared_basic_cells_matches_a_scan_of_every_member():
                 c for c in p.cells
                 if max(c) <= 2 * n and any(v <= n for v in c) and any(n < v <= 2 * n for v in c)
             ]
-            assert shared_basic_cells(b, p, n) == expected
-        # n must name the halves of the union that b binds
-        for wrong in (n - 1, n + 1):
-            with pytest.raises(ValueError, match="not twice the half order"):
-                shared_basic_cells(b, p, wrong)
+            assert shared_basic_cells(b, p) == expected
+
+
+def test_shared_basic_cells_rejects_an_odd_basic_count():
+    """An odd basic count has no two halves: b binds no union of two graphs."""
+    b = bind(path(3))
+    x = stabilize(b.graph)
+    with pytest.raises(ValueError, match="basic count 3 is odd"):
+        shared_basic_cells(b, x.cells)
 
 
 # two strongly regular (16,6,2,2) graphs: the rook's graph of the 4x4 grid and

@@ -4,11 +4,11 @@ import random
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from wlbind import (
     LabeledGraph,
-    Partition,
     StableGraph,
     bind,
     binding_vertex,
@@ -206,7 +206,7 @@ def _rewritten(x: StableGraph, entries: dict[tuple[int, int], int]) -> StableGra
     m = x.graph.matrix.copy()
     for (u, v), c in entries.items():
         m[u - 1, v - 1] = c
-    return StableGraph(graph=LabeledGraph(m), cells=x.cells, trace=x.trace)
+    return StableGraph(graph=LabeledGraph(m), trace=x.trace)
 
 
 def test_binding_color_checks_fail_on_rewritten_colors():
@@ -317,8 +317,13 @@ def test_agreement_records_a_flipped_verdict(monkeypatch):
     decide = harness.decide_iso
 
     def flipped_on_distinct_pair(g, h):
+        """The verdict with its shared basic cells emptied, or faked as one
+        cell holding vertex 1 of G and of H."""
         verdict = decide(g, h)
-        return replace(verdict, isomorphic=not verdict.isomorphic) if g != h else verdict
+        if g == h:
+            return verdict
+        shared = () if verdict.isomorphic else ((1, g.order + 1),)
+        return replace(verdict, shared_basic_cells=shared)
 
     monkeypatch.setattr(harness, "decide_iso", flipped_on_distinct_pair)
     r = run_agreement(3)  # P3 against K3 is the only pair of distinct graphs
@@ -334,10 +339,13 @@ def test_orbit_check_records_wrong_cells(monkeypatch):
     target = bind(k(3)).graph
 
     def discrete_on_target(g):
+        """x with a fresh color on each diagonal entry of the target: discrete cells."""
         x = stable(g)
         if g != target:
             return x
-        return StableGraph(graph=x.graph, cells=Partition.discrete(g.order), trace=x.trace)
+        m = x.graph.matrix.copy()
+        np.fill_diagonal(m, m.max() + 1 + np.arange(g.order))
+        return StableGraph(graph=LabeledGraph(m), trace=x.trace)
 
     monkeypatch.setattr(harness, "stabilize", discrete_on_target)
     r = run_orbit_check(3)

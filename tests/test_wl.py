@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -311,6 +312,49 @@ def test_partial_collisions_keep_fixpoint_and_verdict(n, monkeypatch):
     assert verdicts[0].isomorphic
 
 
+def _one_shot_split(m, dim, bad):
+    """Reference for _split_failing: each failing class's signatures at once,
+    numbered by np.unique of their big-endian bytes."""
+    flat = m.ravel()
+    sub = np.zeros(flat.size, dtype=np.int64)
+    for c in np.flatnonzero(bad):
+        members = np.flatnonzero(flat == c)
+        sigs = _refine._signatures(m, dim, members).astype(">i8")
+        keys = sigs.view(np.dtype((np.void, sigs.shape[1] * 8))).ravel()
+        sub[members] = np.unique(keys, return_inverse=True)[1].ravel()
+    labels, count = _refine._rank(flat, sub)
+    return labels.reshape(m.shape), count
+
+
+@pytest.mark.parametrize("block", [_refine._BLOCK, 1 << 12])
+def test_collision_split_is_bounded_and_unchanged(block, monkeypatch):
+    """Under a hash reduced to its low bit, classes of thousands of entries
+    fail the check. The split reads each in blocks of block // N members, so
+    stabilization peaks under 8 MiB, where holding a class's signatures at
+    once took over 100 MiB; its output is the one-shot split's, byte for byte."""
+    g = _collision_cases()["binding171"]
+    full_hash = _refine._pair_hash
+    monkeypatch.setattr(_refine, "_pair_hash", lambda m: full_hash(m) & np.uint64(1))
+    monkeypatch.setattr(_refine, "_BLOCK", block)
+    tracemalloc.start()
+    try:
+        x = stabilize(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    largest = []
+
+    def one_shot(m, dim, bad):
+        largest.append(int(np.bincount(m.ravel(), minlength=dim)[bad].max()))
+        return _one_shot_split(m, dim, bad)
+
+    monkeypatch.setattr(_refine, "_split_failing", one_shot)
+    y = stabilize(g)
+    assert max(largest) > 20 * (block // g.order)  # many blocks in one class
+    assert peak < 8 << 20
+    assert x.graph.matrix.tobytes() == y.graph.matrix.tobytes() and x.trace == y.trace
+
+
 # --- hash and grouping kernels -------------------------------------------
 
 
@@ -342,12 +386,14 @@ def test_recognize_matches_unique_reference(seed):
 
 
 def test_pair_hash_order_bound():
+    top = 2**_refine._WEIGHT_BITS
     for dim in (10, 5000):  # the table drawn at import, then one drawn per call
         w = np.stack([_refine._weights(dim, row)[:dim] for row in range(4)])
-        assert w.max() < 2**20 and w.min() >= 0 and np.array_equal(w, np.floor(w))
+        assert w.max() < top and w.min() >= 0 and np.array_equal(w, np.floor(w))
         assert np.array_equal(w[:, :10], _refine._WEIGHTS[:, :10])
+    assert 2 * w.max() >= top  # the weights use all of their bits
     # every product sum of the largest allowed order stays an exact float64 integer
-    assert _refine.MAX_ORDER * (2**20 - 1) ** 2 < 2**53
+    assert _refine.MAX_ORDER * (top - 1) ** 2 < 2**53
     view = np.broadcast_to(np.int64(0), (_refine.MAX_ORDER + 1, _refine.MAX_ORDER + 1))
     with pytest.raises(ValueError, match=str(_refine.MAX_ORDER)):
         _refine._pair_hash(view)  # a view: raising must come before any allocation
@@ -773,9 +819,9 @@ def test_orbit_certificate_skips_the_confirming_round(monkeypatch):
     rounds = []
     refine_once = _refine.refine_once
 
-    def counted(m, dim):
-        rounds.append(dim)
-        return refine_once(m, dim)
+    def counted(m):
+        rounds.append(m)
+        return refine_once(m)
 
     monkeypatch.setattr(_refine, "refine_once", counted)
     x = stabilize(union)
@@ -872,6 +918,13 @@ def test_cell_partition_binding_examples():
     assert cell_partition(stabilize(bind(k(3)).graph)).cells == ((1, 2, 3), (4, 5, 6))
     assert cell_partition(stabilize(bind(empty(2)).graph)).cells == ((1, 2), (3,))
     assert cell_partition(stabilize(bind(empty(3)).graph)).cells == ((1, 2, 3, 4, 5, 6),)
+
+
+def test_cells_follow_a_replaced_graph():
+    """The cells are read off the graph, so a copy with another graph has its cells."""
+    x = stabilize(bind(k(3)).graph)
+    assert x.cells.cells == ((1, 2, 3), (4, 5, 6))
+    assert replace(x, graph=individualize(x, 1)).cells.cells == ((1,), (2, 3), (4, 5, 6))
 
 
 def test_block_partition_order10():
@@ -1168,9 +1221,7 @@ def test_equatable_negative_control():
     x = stabilize(bind(k(3)).graph)
     rows = x.graph.matrix.tolist()
     rows[3][0] = rows[3][2]  # overwrite one entry, skewing a block-row multiset
-    corrupted = StableGraph(
-        graph=LabeledGraph.from_rows(rows), cells=x.cells, trace=x.trace
-    )
+    corrupted = StableGraph(graph=LabeledGraph.from_rows(rows), trace=x.trace)
     results = [
         is_equatable(corrupted, a, b)
         for a in range(len(x.cells.cells))
