@@ -339,20 +339,18 @@ def _permuted(a: np.ndarray, gamma: np.ndarray, rows: np.ndarray | None = None) 
     return np.take(np.take(a, gamma if rows is None else rows, axis=0), gamma, axis=1)
 
 
-def _preserves(gamma: np.ndarray, *mats: np.ndarray) -> bool:
-    """Whether a[gamma(i), gamma(j)] == a[i, j] for every entry of each matrix a.
+def _preserves(gamma: np.ndarray, m: np.ndarray) -> bool:
+    """Whether m[gamma(i), gamma(j)] == m[i, j] for every entry of m.
 
-    Rows are compared in blocks that grow fourfold from 8, each block of
-    every matrix before the next block, so a wrong candidate, which seldom
-    agrees on many rows, costs little. A block spans at most three quarters
-    of the rows.
+    Rows are compared in blocks that grow fourfold from 8, so a wrong
+    candidate, which seldom agrees on many rows, costs little. A block
+    spans at most three quarters of the rows.
     """
     start, size = 0, 8
     while start < gamma.size:
         rows = slice(start, start + size)
-        for a in mats:
-            if not np.array_equal(_permuted(a, gamma, gamma[rows]), a[rows]):
-                return False
+        if not np.array_equal(_permuted(m, gamma, gamma[rows]), m[rows]):
+            return False
         start, size = start + size, 4 * size
     return True
 
@@ -603,10 +601,11 @@ def _split_failing(m: np.ndarray, dim: int, bad: np.ndarray) -> tuple[np.ndarray
     classes _verify_streaming returned. Each failing class is split over
     all of its members into sub-classes numbered by (old color, signature
     order); the rest keep their color. A class is read in blocks of
-    _BLOCK // n members, twice: the first pass merges each block's
-    signatures into the class's sorted distinct ones, the second numbers
-    each block by its rank among them. So one block of signatures is held
-    at a time, besides the class's distinct ones.
+    _BLOCK // n members, twice: the first pass inserts each block's new
+    signatures into the class's sorted distinct ones where np.searchsorted
+    places them, never sorting those again; the second numbers each block
+    by its rank among them. So one block of signatures is held at a time,
+    besides the class's distinct ones.
     """
     flat = m.ravel()
     sizes = np.bincount(flat, minlength=dim)
@@ -623,7 +622,11 @@ def _split_failing(m: np.ndarray, dim: int, bad: np.ndarray) -> tuple[np.ndarray
         blocks = [members[start:start + step] for start in range(0, members.size, step)]
         seen = keys(members[:0])
         for block in blocks:
-            seen = np.unique(np.concatenate((seen, keys(block))))
+            new = np.unique(keys(block))
+            at = np.searchsorted(seen, new)
+            known = at < seen.size
+            known[known] = seen[at[known]] == new[known]
+            seen = np.insert(seen, at[~known], new[~known])
         for block in blocks:
             sub[block] = np.searchsorted(seen, keys(block))
     labels, count = _rank(flat, sub)

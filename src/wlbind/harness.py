@@ -98,27 +98,6 @@ def _cells_json(p: Partition) -> list[list[int]]:
     return [list(c) for c in p.cells]
 
 
-def _new_report(experiment: str, seed: Optional[int], per_n: dict[int, int]) -> dict:
-    return {
-        "experiment": experiment,
-        "engine_version": __version__,
-        "canonicalization": CANONICALIZATION,
-        "seed": seed,
-        "corpus": {"per_n": {str(n): c for n, c in sorted(per_n.items())}},
-        "cases": [],
-        "counterexamples": [],
-        "timing": {"total_ms": 0.0, "per_case_median_ms": 0.0},
-    }
-
-
-def _finish_timing(report: dict, started: float, case_ms: list[float]) -> dict:
-    report["timing"]["total_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-    report["timing"]["per_case_median_ms"] = (
-        round(statistics.median(case_ms), 3) if case_ms else 0.0
-    )
-    return report
-
-
 # One case of a sweep: its report entry, the fields of its counterexample
 # record beyond id and graphs (None unless the case disagrees), and the
 # milliseconds it is timed at.
@@ -126,25 +105,45 @@ _Case = tuple[dict, Optional[dict], float]
 
 
 def _sweep(
-    experiment: str, max_n: int, cases: Callable[[int, list[SimpleGraph]], Iterator[_Case]]
+    experiment: str,
+    corpus: dict[int, list],
+    cases: Callable[[int, list], Iterator[_Case]],
+    seed: Optional[int] = None,
 ) -> dict:
-    """Run an experiment on every connected graph of order 2..max_n, one per
-    isomorphism class; cases(n, graphs) yields the cases of one order."""
-    if not 2 <= max_n <= MAX_ENUM_ORDER:
-        raise ValueError(f"{experiment} sweep supports 2 <= max_n <= {MAX_ENUM_ORDER}")
+    """The report of an experiment over corpus, {order: items} with orders
+    ascending; cases(n, items) yields the cases of one order. timing holds
+    the wall time of the cases (total_ms) and the median of their times."""
     started = time.perf_counter()
-    corpus = {n: enumerate_graphs(n) for n in range(2, max_n + 1)}
-    report = _new_report(experiment, None, {n: len(gs) for n, gs in corpus.items()})
+    report = {
+        "experiment": experiment,
+        "engine_version": __version__,
+        "canonicalization": CANONICALIZATION,
+        "seed": seed,
+        "corpus": {"per_n": {str(n): len(items) for n, items in corpus.items()}},
+        "cases": [],
+        "counterexamples": [],
+    }
     case_ms: list[float] = []
-    for n, graphs in corpus.items():
-        for case, record, ms in cases(n, graphs):
+    for n, items in corpus.items():
+        for case, record, ms in cases(n, items):
             report["cases"].append(case)
             case_ms.append(ms)
             if record is not None:
                 report["counterexamples"].append(
                     {"id": case["id"], "graphs": case["graphs"], **record}
                 )
-    return _finish_timing(report, started, case_ms)
+    report["timing"] = {
+        "total_ms": round((time.perf_counter() - started) * 1000.0, 3),
+        "per_case_median_ms": round(statistics.median(case_ms), 3) if case_ms else 0.0,
+    }
+    return report
+
+
+def _connected_corpus(experiment: str, max_n: int) -> dict[int, list[SimpleGraph]]:
+    """Every connected graph of order 2..max_n, one per isomorphism class."""
+    if not 2 <= max_n <= MAX_ENUM_ORDER:
+        raise ValueError(f"{experiment} sweep supports 2 <= max_n <= {MAX_ENUM_ORDER}")
+    return {n: enumerate_graphs(n) for n in range(2, max_n + 1)}
 
 
 def _skipped(case: dict, exc: BudgetExceeded, oracle: bool = True) -> dict:
@@ -189,7 +188,7 @@ def run_agreement(max_n: int) -> dict:
                 }
                 yield case, record, verdict.timing_ms
 
-    return _sweep("agreement", max_n, cases)
+    return _sweep("agreement", _connected_corpus("agreement", max_n), cases)
 
 
 def run_orbit_check(max_n: int) -> dict:
@@ -217,7 +216,7 @@ def run_orbit_check(max_n: int) -> dict:
             }
             yield case, record, (time.perf_counter() - t0) * 1000.0
 
-    return _sweep("orbit-check", max_n, cases)
+    return _sweep("orbit-check", _connected_corpus("orbit-check", max_n), cases)
 
 
 def _subset_family(num_cells: int) -> list[tuple[int, ...]]:
@@ -352,7 +351,7 @@ def run_lemma_suite(max_n: int) -> dict:
                 record = {"kind": "lemma", "claim": claim} if case["agree"] is False else None
                 yield case, record, ms
 
-    return _sweep("lemmas", max_n, cases)
+    return _sweep("lemmas", _connected_corpus("lemmas", max_n), cases)
 
 
 def bench_scaling(
@@ -366,10 +365,12 @@ def bench_scaling(
     non-isomorphic, and times it beside the planted pair (G, G^pi), which is
     isomorphic and the slower verdict. Each case records its time and the
     minor page faults the process took during its decision (minor_faults,
-    from getrusage). timing holds a log-log slope through the per-size
-    median times of all pairs (null for a single size), per verdict and
-    size the median time (verdict_median_ms), and the process's peak RSS
-    when the bench ends (peak_rss_mb).
+    from getrusage). The pairs are drawn before the first decision, so
+    total_ms times the decisions alone. timing adds, read off the cases'
+    ms, a log-log slope through the per-size median times of all pairs
+    (null for a single size) and per verdict and size the median time
+    (verdict_median_ms), and the process's peak RSS when the bench ends
+    (peak_rss_mb).
     """
     if not sizes or any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be a non-empty, strictly ascending list")
@@ -377,57 +378,54 @@ def bench_scaling(
         raise ValueError(f"sizes must lie in [2, {MAX_BENCH_SIZE}]")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    started = time.perf_counter()
     rng = random.Random(seed)
-    report = _new_report("bench", seed, {s: 2 * samples for s in sizes})
-    case_ms: list[float] = []
-    medians: list[float] = []
-    by_verdict: dict[str, dict[str, list[float]]] = {"iso": {}, "noniso": {}}
 
-    for size in sizes:
-        times: list[float] = []
+    def draw(size: int) -> Iterator[tuple[str, SimpleGraph, SimpleGraph]]:
         for s in range(samples):
             g = random_connected_graph(size, rng)
             h = random_connected_graph(size, rng)
             images = list(range(1, size + 1))
             rng.shuffle(images)
-            planted = apply_permutation(g, Permutation(tuple(images)))
-            for kind, other in (("random", h), ("planted", planted)):
-                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                verdict = decide_iso(g, other)
-                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-                gi = "iso" if verdict.isomorphic else "noniso"
-                times.append(verdict.timing_ms)
-                case_ms.append(verdict.timing_ms)
-                by_verdict[gi].setdefault(str(size), []).append(verdict.timing_ms)
-                report["cases"].append(
-                    {
-                        "id": f"n{size}:{s}:{kind}",
-                        "graphs": [_g6(g), _g6(other)],
-                        "gi": gi,
-                        "oracle": "skipped",
-                        "agree": None,
-                        "n": size,
-                        "binding_order": size * (2 * size + 1),
-                        "ms": round(verdict.timing_ms, 3),
-                        "minor_faults": faults,
-                    }
-                )
-        medians.append(statistics.median(times))
+            yield f"n{size}:{s}:random", g, h
+            yield f"n{size}:{s}:planted", g, apply_permutation(g, Permutation(tuple(images)))
+
+    def cases(size: int, pairs: list) -> Iterator[_Case]:
+        for case_id, g, other in pairs:
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            verdict = decide_iso(g, other)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            yield {
+                "id": case_id,
+                "graphs": [_g6(g), _g6(other)],
+                "gi": "iso" if verdict.isomorphic else "noniso",
+                "oracle": "skipped",
+                "agree": None,
+                "n": size,
+                "binding_order": size * (2 * size + 1),
+                "ms": round(verdict.timing_ms, 3),
+                "minor_faults": faults,
+            }, None, verdict.timing_ms
+
+    report = _sweep("bench", {size: list(draw(size)) for size in sizes}, cases, seed)
+
+    def median_ms(size: int, gi: Optional[str] = None) -> Optional[float]:
+        """The median ms of the rows of size size (and verdict gi), if any."""
+        ms = [c["ms"] for c in report["cases"] if c["n"] == size and gi in (None, c["gi"])]
+        return statistics.median(ms) if ms else None
 
     slope = None  # a slope needs two sizes; JSON has no NaN
     if len(sizes) >= 2:
-        fit = np.polyfit(np.log([float(s) for s in sizes]), np.log(medians), 1)
+        fit = np.polyfit(np.log(sizes), np.log([median_ms(s) for s in sizes]), 1)
         slope = round(float(fit[0]), 4)
     report["timing"]["loglog_slope"] = slope
     report["timing"]["verdict_median_ms"] = {
-        gi: {n: round(statistics.median(ms), 3) for n, ms in per_size.items()}
-        for gi, per_size in by_verdict.items()
+        gi: {str(s): round(m, 3) for s in sizes if (m := median_ms(s, gi)) is not None}
+        for gi in ("iso", "noniso")
     }
     # ru_maxrss is in KiB on Linux
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     report["timing"]["peak_rss_mb"] = round(peak_kib / 1024.0, 1)
-    return _finish_timing(report, started, case_ms)
+    return report
 
 
 _TOP_KEYS = (

@@ -16,11 +16,11 @@ def _reject_constant(name: str) -> float:
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-def _run(workload: str, trace: int) -> tuple[list[str], dict]:
+def _run(workload: str, trace: int, seed: int = 1) -> tuple[list[str], dict]:
     """The output lines of a one-second run and its result, which must pass."""
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "1", "--seconds", "1", "--trace", str(trace)],
+         "--seed", str(seed), "--seconds", "1", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
@@ -33,8 +33,8 @@ def _run(workload: str, trace: int) -> tuple[list[str], dict]:
     return lines, result
 
 
-def _check_traced_run(workload: str) -> None:
-    lines, result = _run(workload, trace=1)
+def _check_traced_run(workload: str, seed: int = 1) -> None:
+    lines, result = _run(workload, trace=1, seed=seed)
     assert any(line.endswith(" absent=-") for line in lines)  # every traced target exists
     assert result["metrics"]
 
@@ -46,8 +46,9 @@ def test_untraced_benchmark_run_ends_with_the_end_to_end_metrics(workload):
     assert sorted(result["metrics"]) == sorted(m["name"] for m in spec["end_to_end"])
 
 
-def test_traced_decide_benchmark_run_ends_with_its_result():
-    _check_traced_run("decide")  # both verdicts, as the benchmark traces them
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_traced_decide_benchmark_run_ends_with_its_result(seed):
+    _check_traced_run("decide", seed)  # both verdicts, as the benchmark traces them
 
 
 def test_traced_benchmark_run_ends_with_its_result():
